@@ -1,12 +1,9 @@
-(* Regenerates every table and figure from the paper's evaluation
-   section, then (or on demand) runs Bechamel micro-benchmarks of the
-   tool's own machinery.
+(* Bechamel micro-benchmarks of the tool's own machinery, plus the
+   campaign scaling and engine macro-benchmarks.  Paper artifacts are
+   regenerated by `pfi_run run <artifact>`, not here.
 
    Usage:
-     bench/main.exe              regenerate everything + micro-benchmarks
-     bench/main.exe table1       one artifact (table1..table8, figure4, exp5)
-     bench/main.exe micro        only the micro-benchmarks
-     bench/main.exe tables       all tables/figures, no micro-benchmarks
+     bench/main.exe [micro]      the micro-benchmarks
      bench/main.exe scaling      campaign trials/sec at --jobs 1/2/4/8
      bench/main.exe macro [OUT [SCENARIOS [MATRIX]]]
                                  engine macro-benchmark: every stock
@@ -20,33 +17,6 @@
                                  any harness regressed more than 20% *)
 
 open Pfi_experiments
-
-(* ------------------------------------------------------------------ *)
-(* Paper artifacts                                                    *)
-(* ------------------------------------------------------------------ *)
-
-let artifacts : (string * (unit -> unit)) list =
-  [ ("table1", fun () -> Report.print (Tcp_experiments.table1 ()));
-    ("table2", fun () -> Report.print (Tcp_experiments.table2 ()));
-    ("figure4", fun () -> Report.print_figure (Tcp_experiments.figure4 ()));
-    ("table3", fun () -> Report.print (Tcp_experiments.table3 ()));
-    ("table4", fun () -> Report.print (Tcp_experiments.table4 ()));
-    ("exp5", fun () -> Report.print (Tcp_experiments.exp5_report ()));
-    ("table5", fun () -> Report.print (Gmp_experiments.table5 ()));
-    ("table6", fun () -> Report.print (Gmp_experiments.table6 ()));
-    ("table7", fun () -> Report.print (Gmp_experiments.table7 ()));
-    ("table8", fun () -> Report.print (Gmp_experiments.table8 ()));
-    ("ablation-karn", fun () -> Report.print (Ablations.table_karn ()));
-    ("ablation-counter", fun () -> Report.print (Ablations.table_counter ())) ]
-
-let run_artifact name =
-  match List.assoc_opt name artifacts with
-  | Some run ->
-    Printf.printf "== regenerating %s ==\n%!" name;
-    run ()
-  | None -> Printf.eprintf "unknown artifact %S\n" name
-
-let run_all_artifacts () = List.iter (fun (name, _) -> run_artifact name) artifacts
 
 (* ------------------------------------------------------------------ *)
 (* Micro-benchmarks                                                   *)
@@ -435,15 +405,16 @@ let run_compare baseline_file new_file =
 
 let () =
   match Array.to_list Sys.argv with
-  | [] | _ :: [] ->
-    run_all_artifacts ();
-    run_micro ()
-  | _ :: [ "micro" ] -> run_micro ()
-  | _ :: [ "tables" ] -> run_all_artifacts ()
+  | [] | _ :: [] | _ :: [ "micro" ] -> run_micro ()
   | _ :: [ "scaling" ] -> run_scaling ()
   | _ :: "macro" :: args -> run_macro args
   | _ :: [ "compare"; baseline; fresh ] -> run_compare baseline fresh
   | _ :: "compare" :: _ ->
     prerr_endline "usage: bench/main.exe compare BASELINE NEW";
     exit 2
-  | _ :: names -> List.iter run_artifact names
+  | _ :: args ->
+    Printf.eprintf
+      "unknown arguments %s (try micro, scaling, macro or compare; paper \
+       artifacts: pfi_run run)\n"
+      (String.concat " " args);
+    exit 2

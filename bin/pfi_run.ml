@@ -293,29 +293,37 @@ let help_cmd =
 (* Paper artifacts                                                    *)
 (* ------------------------------------------------------------------ *)
 
-type output =
-  | Table of Report.t
-  | Figure of Report.figure
+(* Every TCP artifact is a view over sections of the conformance
+   catalog (Pfi_testgen.Conformance), so each number it shows is a
+   re-measured cell next to the paper's value; the GMP tables still
+   come from their own experiment module. *)
+type artifact =
+  | Catalog of string list  (** conformance sections, in report order *)
+  | Table of (unit -> Report.t)
 
-let artifacts : (string * string * (unit -> output)) list =
-  [ ("table1", "TCP retransmission timeouts", fun () -> Table (Tcp_experiments.table1 ()));
-    ("table2", "TCP RTO with delayed ACKs", fun () -> Table (Tcp_experiments.table2 ()));
+let artifacts =
+  [ ("table1", "TCP retransmission timeouts", Catalog [ "rexmt" ]);
+    ( "table2",
+      "TCP RTO with delayed ACKs",
+      Catalog [ "counter"; "rto-delay-3s"; "rto-delay-8s"; "counter-probe" ] );
     ( "figure4",
       "retransmission timeout series",
-      fun () -> Figure (Tcp_experiments.figure4 ()) );
-    ("table3", "TCP keep-alive", fun () -> Table (Tcp_experiments.table3 ()));
-    ("table4", "TCP zero-window probes", fun () -> Table (Tcp_experiments.table4 ()));
-    ("exp5", "TCP reordering", fun () -> Table (Tcp_experiments.exp5_report ()));
-    ("table5", "GMP packet interruption", fun () -> Table (Gmp_experiments.table5 ()));
-    ("table6", "GMP network partitions", fun () -> Table (Gmp_experiments.table6 ()));
-    ("table7", "GMP proclaim forwarding", fun () -> Table (Gmp_experiments.table7 ()));
-    ("table8", "GMP timer test", fun () -> Table (Gmp_experiments.table8 ()));
+      Catalog [ "rexmt"; "rto-delay-3s"; "rto-delay-8s" ] );
+    ("table3", "TCP keep-alive", Catalog [ "keepalive"; "keepalive-acked" ]);
+    ( "table4",
+      "TCP zero-window probes",
+      Catalog [ "zerowin"; "zerowin-dropped"; "zerowin-outage" ] );
+    ("exp5", "TCP reordering", Catalog [ "reorder" ]);
+    ("table5", "GMP packet interruption", Table Gmp_experiments.table5);
+    ("table6", "GMP network partitions", Table Gmp_experiments.table6);
+    ("table7", "GMP proclaim forwarding", Table Gmp_experiments.table7);
+    ("table8", "GMP timer test", Table Gmp_experiments.table8);
     ( "ablation-karn",
       "ablation: Karn sampling on/off",
-      fun () -> Table (Ablations.table_karn ()) );
+      Catalog [ "ablation-karn" ] );
     ( "ablation-counter",
       "ablation: retry accounting policy",
-      fun () -> Table (Ablations.table_counter ()) ) ]
+      Catalog [ "ablation-counter" ] ) ]
 
 let json_str s = Pfi_testgen.Repro.Json.Str s
 let json_print tree = print_endline (Pfi_testgen.Repro.Json.to_string tree)
@@ -397,20 +405,29 @@ let apply_default_seed seed =
   | Some s -> Pfi_engine.Sim.set_default_seed s
   | None -> ()
 
-let run_one ~json ~flush name =
+let run_one ~json ~flush ~seed name =
   match List.find_opt (fun (n, _, _) -> n = name) artifacts with
   | None ->
     Printf.eprintf "unknown artifact %S (try `pfi_run list`)\n" name;
     exit 1
-  | Some (_, desc, gen) ->
+  | Some (_, desc, artifact) ->
     if not json then Printf.printf "== %s: %s ==\n%!" name desc;
-    let out = gen () in
-    flush [ ("artifact", name) ];
-    (match (out, json) with
-     | Table t, false -> Report.print t
-     | Table t, true -> print_endline (Report.to_json t)
-     | Figure f, false -> Report.print_figure f
-     | Figure f, true -> print_endline (Report.figure_to_json f))
+    (match artifact with
+     | Catalog sections ->
+       let open Pfi_testgen in
+       let rep =
+         Conformance.run ?seed
+           (List.filter
+              (fun r -> List.mem (Conformance.row_section r) sections)
+              (Conformance.catalog ()))
+       in
+       flush [ ("artifact", name) ];
+       if json then json_print (Conformance.to_json rep)
+       else print_string (Conformance.to_markdown rep)
+     | Table gen ->
+       let t = gen () in
+       flush [ ("artifact", name) ];
+       if json then print_endline (Report.to_json t) else Report.print t)
 
 let run_cmd =
   let doc = "Regenerate one or more paper artifacts (or `all`)." in
@@ -424,7 +441,7 @@ let run_cmd =
       else names
     in
     with_trace_capture trace_out (fun flush ->
-        List.iter (run_one ~json ~flush) names)
+        List.iter (run_one ~json ~flush ~seed) names)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
@@ -487,53 +504,56 @@ let repl_cmd =
   let doc = "Interactive REPL over the PFI filter scripting language." in
   Cmd.v (Cmd.info "repl" ~doc) Term.(const repl $ Copts.seed_term)
 
-(* Re-runs the Solaris global-error-counter experiment with MSC
-   recording on and prints the ladder diagram the paper draws in §4.1
-   (m1 retransmitted six times, its delayed ACK, then m2 three times). *)
+(* Re-runs the Solaris row of the catalog's global-error-counter probe
+   and prints the ladder diagram the paper draws in §4.1 (m1
+   retransmitted six times, its delayed ACK, then m2 three times).  The
+   ladder is drawn at the vendor's transport: what the client sent
+   (tcp.out) and when the segments it received reached it (tcp.in).
+   The PFI layer sits between that boundary and the wire, so the wire
+   shows neither the dropped retransmissions nor the 35 s hold. *)
 let msc seed trace_out json =
-  apply_default_seed seed;
   let open Pfi_engine in
-  let open Pfi_core in
+  let open Pfi_testgen in
   with_trace_capture trace_out (fun flush ->
-      let rig = Tcp_rig.make ~profile:Pfi_tcp.Profile.solaris_23 () in
-      Pfi_netsim.Network.set_msc_enabled rig.Tcp_rig.net true;
-      let vconn, _xc = Tcp_rig.connect rig in
-      Pfi_layer.set_receive_filter rig.Tcp_rig.pfi
-        {|
-if {![info exists count]} { set count 0 }
-incr count
-if {$count == 31} { peer_set delay_next_ack 1 }
-if {$count > 31} { xDrop cur_msg }
-|};
-      Pfi_layer.set_send_filter rig.Tcp_rig.pfi
-        {|
-if {![info exists delay_next_ack]} { set delay_next_ack 0 }
-if {$delay_next_ack == 1 && [msg_type cur_msg] == "ACK"} {
-  set delay_next_ack 0
-  xDelay cur_msg 35.0
-}
-|};
-      let t_filter = Sim.now rig.Tcp_rig.sim in
-      Tcp_rig.feed_vendor rig ~conn:vconn ~chunk:128 ~every:(Vtime.ms 400)
-        ~count:32;
-      Sim.run ~until:(Vtime.hours 1) rig.Tcp_rig.sim;
-      (* show only the interesting tail: from shortly before the drop phase *)
+      let row = Option.get (Conformance.find "counter-probe/solaris-2.3") in
+      let trace = Conformance.trial_trace ?seed row in
+      let event src dst (e : Trace.entry) =
+        { Pfi_netsim.Msc.time = e.Trace.time;
+          arrival = Some e.Trace.time;
+          src;
+          dst;
+          label = Trace.detail e }
+      in
+      let at_client tag = Trace.find ~node:"client" ~tag trace in
+      (* the drop phase starts with the thirty-first segment, sent at
+         30 x 400 ms *)
       let events =
         List.filter
-          (fun e ->
-            Vtime.(e.Pfi_netsim.Msc.time >= Vtime.add t_filter (Vtime.sec 12)))
-          (Pfi_netsim.Msc.events (Sim.trace rig.Tcp_rig.sim))
+          (fun e -> Vtime.(e.Pfi_netsim.Msc.time >= Vtime.sec 12))
+          (List.stable_sort
+             (fun a b -> Vtime.compare a.Pfi_netsim.Msc.time b.Pfi_netsim.Msc.time)
+             (List.map (event "client" "server") (at_client "tcp.out")
+              @ List.map (event "server" "client") (at_client "tcp.in")))
       in
       if json then
-        Trace.output_jsonl ~extra:[ ("artifact", "msc") ] ~tag:"msc" stdout
-          (Sim.trace rig.Tcp_rig.sim)
+        List.iter
+          (fun (e : Pfi_netsim.Msc.event) ->
+            print_endline
+              (Repro.Json.to_line
+                 (Repro.Json.Obj
+                    [ ("artifact", json_str "msc");
+                      ("time_us", json_str (Int64.to_string (Vtime.to_us e.time)));
+                      ("src", json_str e.src);
+                      ("dst", json_str e.dst);
+                      ("label", json_str e.label) ])))
+          events
       else begin
         print_endline
           "Message sequence chart: the Solaris global-error-counter discovery";
         print_endline
-          "(m1's ACK delayed 35 s; X marks messages the PFI layer or network \
-           dropped)\n";
-        Pfi_netsim.Msc.render ~nodes:[ Tcp_rig.vendor_node; Tcp_rig.xk_node ]
+          "(times are when the client sent or received each segment; m1's \
+           ACK is held 35 s)\n";
+        Pfi_netsim.Msc.render ~nodes:[ "client"; "server" ]
           Format.std_formatter events
       end;
       flush [ ("artifact", "msc") ])

@@ -1,75 +1,86 @@
-(* TCP probing: two of the paper's techniques against a live vendor TCP.
+(* TCP probing: two of the paper's techniques against a vendor TCP, run
+   on the stock TCP harness (a client and a server, with the PFI layer
+   spliced below the client's transport).
 
-   1. The Table 1 experiment for one vendor: let 30 packets through,
-      then drop everything and watch the retransmission schedule.
-   2. A probe the passive-monitoring approaches cannot do: inject a
-      spurious ACK from the PFI layer and watch the vendor's reaction.
+   1. The Table 1 experiment for one vendor: every DATA segment the
+      client sends is dropped, and the retransmission schedule is read
+      back from the client's trace.
+   2. A probe the passive-monitoring approaches cannot do: the PFI layer
+      fabricates an ACK for data the client never sent and hands it to
+      the client's TCP, then watches the vendor's reaction.
 
    Run with:  dune exec examples/tcp_probing.exe *)
 
 open Pfi_engine
-open Pfi_core
 open Pfi_tcp
-open Pfi_experiments
+open Pfi_testgen
+
+let profile = Profile.sunos_413
+
+(* one send-filter trial on the harness, trace kept *)
+let trial ~horizon script =
+  Campaign.run_trial
+    (Tcp_harness.harness ~chunk_count:1 ~profile ~heal:false ())
+    ~side:Campaign.Send_filter ~horizon ~seed:Campaign.default_seed
+    ~capture_trace:true ~script (Generator.Drop_all "DATA")
+
+let trace_of (o : Campaign.outcome) = Option.get o.Campaign.trace
 
 let () =
-  let profile = Profile.sunos_413 in
   Printf.printf "=== probing %s ===\n\n" profile.Profile.name;
 
   (* --- 1. retransmission schedule under total silence ------------- *)
-  let rig = Tcp_rig.make ~profile () in
-  let vconn, _xc = Tcp_rig.connect rig in
-  Pfi_layer.set_receive_filter rig.Tcp_rig.pfi
-    {|
-if {![info exists count]} { set count 0 }
-incr count
-if {$count > 30} {
-  log exp.drop [msg_field cur_msg seq]
-  xDrop cur_msg
-}
-|};
-  Tcp_rig.feed_vendor rig ~conn:vconn ~chunk:128 ~every:(Vtime.ms 400) ~count:60;
-  Sim.run ~until:(Vtime.hours 1) rig.Tcp_rig.sim;
-  let entries = Tcp_rig.drop_log rig ~tag:"exp.drop" in
-  let seq, times = Tcp_rig.busiest_seq entries in
-  Printf.printf "dropped segment seq=%d was (re)transmitted %d times:\n" seq
-    (List.length times);
-  List.iteri
-    (fun i interval ->
-      Printf.printf "  retransmission %2d after %6.1f s\n" (i + 1)
-        (Vtime.to_sec_f interval))
-    (Tcp_rig.intervals times);
+  let trace =
+    trace_of
+      (trial ~horizon:(Vtime.hours 1)
+         {|if {[msg_type cur_msg] == "DATA"} { xDrop cur_msg }|})
+  in
+  let rexmits = Trace.find ~node:"client" ~tag:"tcp.retransmit" trace in
+  Printf.printf "the dropped segment was retransmitted %d times:\n"
+    (List.length rexmits);
+  List.iter
+    (fun e ->
+      Printf.printf "  %10s  %s\n" (Vtime.to_string e.Trace.time)
+        (Trace.detail e))
+    rexmits;
   Printf.printf "vendor closed the connection: %s, RST count: %d\n\n"
-    (match Tcp.close_reason vconn with Some r -> r | None -> "still open")
-    (Trace.count ~node:Tcp_rig.vendor_node ~tag:"tcp.rst-sent"
-       (Sim.trace rig.Tcp_rig.sim));
+    (match Trace.find ~node:"client" ~tag:"tcp.closed" trace with
+     | e :: _ -> Trace.detail e
+     | [] -> "still open")
+    (Trace.count ~node:"client" ~tag:"tcp.rst-sent" trace);
 
   (* --- 2. spurious-ACK injection ----------------------------------- *)
-  let rig2 = Tcp_rig.make ~profile () in
-  let vconn2, xc2 = Tcp_rig.connect rig2 in
-  ignore xc2;
-  (* generate an ACK claiming data the x-Kernel never received; the
-     PFI layer can do this because an ACK carries no protocol state *)
-  Pfi_layer.set_receive_filter rig2.Tcp_rig.pfi
-    {|
+  (* an ACK carries no protocol state, so the PFI layer can generate one
+     acknowledging data the client never sent and push it up into the
+     client's TCP as if the server had sent it *)
+  let outcome =
+    trial ~horizon:(Vtime.sec 30)
+      {|
 if {[msg_type cur_msg] == "DATA" && ![info exists probed]} {
   set probed 1
   set fake_ack [expr {[msg_field cur_msg seq] + 9999}]
   set probe [msg_gen type ACK sport [msg_field cur_msg dport] \
                  dport [msg_field cur_msg sport] \
                  seq [msg_field cur_msg ack] ack $fake_ack window 4096 \
-                 dst vendor]
+                 src server]
   log probe.injected "spurious ack=$fake_ack"
-  inject_down $probe
+  inject_up $probe
 }
-|};
-  Tcp.send vconn2 "some data the vendor sends";
-  Sim.run ~until:(Vtime.add (Sim.now rig2.Tcp_rig.sim) (Vtime.sec 30)) rig2.Tcp_rig.sim;
+|}
+  in
+  let trace = trace_of outcome in
   print_endline "spurious-ACK probe (acknowledging data never sent):";
   List.iter
     (fun e -> Printf.printf "  injected: %s\n" (Trace.detail e))
-    (Trace.find ~tag:"probe.injected" (Sim.trace rig2.Tcp_rig.sim));
-  Printf.printf
-    "  vendor ignored the out-of-range ACK and stayed %s (snd_una=%d)\n"
-    (Tcp.state_to_string (Tcp.state vconn2))
-    (Tcp.snd_una vconn2)
+    (Trace.find ~tag:"probe.injected" trace);
+  Printf.printf "  vendor state changes after the probe: %d; stream %s\n"
+    (List.length
+       (List.filter
+          (fun e ->
+            List.exists
+              (fun p -> Vtime.(e.Trace.time > p.Trace.time))
+              (Trace.find ~tag:"probe.injected" trace))
+          (Trace.find ~node:"client" ~tag:"tcp.state" trace)))
+    (match outcome.Campaign.verdict with
+     | Campaign.Tolerated -> "delivered intact, connection ESTABLISHED"
+     | Campaign.Violation reason -> "broken: " ^ reason)

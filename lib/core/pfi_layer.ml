@@ -441,16 +441,6 @@ let bind_commands t interp dir =
 (* Filter execution                                                   *)
 (* ------------------------------------------------------------------ *)
 
-let run_native filters msg =
-  let rec go = function
-    | [] -> Pass
-    | (_, filter) :: rest ->
-      (match filter msg with
-       | Pass -> go rest
-       | verdict -> verdict)
-  in
-  go filters
-
 let run_script t dir msg =
   let interp, script, guard =
     match dir with
@@ -514,18 +504,25 @@ let trace_verdict t dir msg verdict dups =
          (t.stub.Stubs.describe msg))
   end
 
-let filter t dir msg =
+(* Native filters run in installation order, then the script.  A Drop
+   ends the message's passage; a Delay holds it and, when it is
+   released, resumes with the next filter — so layered failure models
+   all act on every message. *)
+let rec filter_from t dir natives msg =
   let stats = stats_for t dir in
-  let native = match dir with Send -> t.native_send | Receive -> t.native_recv in
-  match run_native native msg with
-  | Drop ->
-    stats.dropped <- stats.dropped + 1;
-    trace_verdict t dir msg V_drop 0
-  | Delay d ->
-    stats.delayed <- stats.delayed + 1;
-    trace_verdict t dir msg (V_delay d) 0;
-    ignore (Sim.schedule t.sim ~delay:d (fun () -> continue t dir msg))
-  | Pass ->
+  match natives with
+  | (_, native) :: rest -> (
+    match native msg with
+    | Pass -> filter_from t dir rest msg
+    | Drop ->
+      stats.dropped <- stats.dropped + 1;
+      trace_verdict t dir msg V_drop 0
+    | Delay d ->
+      stats.delayed <- stats.delayed + 1;
+      trace_verdict t dir msg (V_delay d) 0;
+      ignore
+        (Sim.schedule t.sim ~delay:d (fun () -> filter_from t dir rest msg)))
+  | [] ->
     let verdict, dups = run_script t dir msg in
     (* Copies are snapshotted before the original continues (downstream
        layers may mutate it in place), but sent onward only after the
@@ -553,6 +550,11 @@ let filter t dir msg =
        stats.held <- stats.held + 1;
        Queue.add (msg, dir) (hold_queue t qname));
     List.iter (continue t dir) copies
+
+let filter t dir msg =
+  filter_from t dir
+    (match dir with Send -> t.native_send | Receive -> t.native_recv)
+    msg
 
 (* ------------------------------------------------------------------ *)
 (* Stats snapshot                                                     *)

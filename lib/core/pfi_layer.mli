@@ -94,8 +94,11 @@ val eval_in : t -> [ `Send | `Receive ] -> string -> string
 (** {1 Native filters}
 
     OCaml-coded filters, the analogue of the paper's user-defined C
-    procedures.  They run before the script; the first non-[Pass]
-    verdict short-circuits. *)
+    procedures.  They run in installation order, before the script.
+    [Drop] ends the message's passage; [Delay] holds the message and
+    resumes it at the next filter when it is released, so every
+    installed filter (and then the script) acts on each message that
+    survives. *)
 
 type native_action =
   | Pass

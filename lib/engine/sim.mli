@@ -54,11 +54,12 @@ val record_lazy :
     for when to use it and what the thunk may capture. *)
 
 val set_want_labels : t -> bool -> unit
-(** Tells protocol layers whether any attached renderer consumes
-    per-message ["msc.label"] decorations.  Off by default; flipped on
-    by [Network.set_msc_enabled].  Layers consult {!want_labels} before
-    formatting a human-facing label on every send, so simulations with
-    no renderer attached (campaign trials) skip that cost entirely. *)
+(** Turns message-sequence-chart recording on or off.  While on, the
+    network records an [msc] trace entry per transmission and protocol
+    layers decorate each message with a human-facing ["msc.label"].
+    Off by default, so simulations with no renderer attached (campaign
+    trials) skip that cost entirely; a trial can turn it on from its
+    arm hook. *)
 
 val want_labels : t -> bool
 

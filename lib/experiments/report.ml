@@ -111,67 +111,3 @@ let to_json t =
   add_string_array buf t.notes;
   Buffer.add_char buf '}';
   Buffer.contents buf
-
-(* ------------------------------------------------------------------ *)
-(* Figures                                                            *)
-(* ------------------------------------------------------------------ *)
-
-type series = {
-  series_label : string;
-  points : (float * float) list;
-}
-
-type figure = {
-  fig_id : string;
-  fig_title : string;
-  x_label : string;
-  y_label : string;
-  series : series list;
-}
-
-let render_figure ppf f =
-  Format.fprintf ppf "@.%s: %s@." f.fig_id f.fig_title;
-  Format.fprintf ppf "  (x = %s, y = %s)@." f.x_label f.y_label;
-  List.iter
-    (fun s ->
-      Format.fprintf ppf "  %s:@." s.series_label;
-      Format.fprintf ppf "    x: %s@."
-        (String.concat " " (List.map (fun (x, _) -> Printf.sprintf "%6.1f" x) s.points));
-      Format.fprintf ppf "    y: %s@."
-        (String.concat " " (List.map (fun (_, y) -> Printf.sprintf "%6.1f" y) s.points));
-      (* coarse log-ish bar rendering of y values *)
-      List.iter
-        (fun (x, y) ->
-          let bar = int_of_float (Float.min 60.0 y) in
-          Format.fprintf ppf "    %6.1f | %s %.1f@." x (String.make (max bar 1) '#') y)
-        s.points)
-    f.series
-
-let print_figure f = render_figure Format.std_formatter f
-
-let figure_to_json f =
-  let buf = Buffer.create 512 in
-  Buffer.add_string buf "{\"id\":";
-  js buf f.fig_id;
-  Buffer.add_string buf ",\"title\":";
-  js buf f.fig_title;
-  Buffer.add_string buf ",\"x_label\":";
-  js buf f.x_label;
-  Buffer.add_string buf ",\"y_label\":";
-  js buf f.y_label;
-  Buffer.add_string buf ",\"series\":[";
-  List.iteri
-    (fun i s ->
-      if i > 0 then Buffer.add_char buf ',';
-      Buffer.add_string buf "{\"label\":";
-      js buf s.series_label;
-      Buffer.add_string buf ",\"points\":[";
-      List.iteri
-        (fun j (x, y) ->
-          if j > 0 then Buffer.add_char buf ',';
-          Buffer.add_string buf (Printf.sprintf "[%.6g,%.6g]" x y))
-        s.points;
-      Buffer.add_string buf "]}")
-    f.series;
-  Buffer.add_string buf "]}";
-  Buffer.contents buf

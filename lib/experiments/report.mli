@@ -1,4 +1,4 @@
-(** Rendering of experiment results as the paper's tables and figures. *)
+(** Rendering of the GMP experiment results as the paper's tables. *)
 
 type t = {
   id : string;  (** e.g. ["Table 1"] *)
@@ -24,29 +24,3 @@ val to_json : t -> string
 (** The table as one self-contained JSON object:
     [{"id":..., "title":..., "header":[...], "rows":[[...],...],
       "notes":[...]}].  All cells are strings, exactly as rendered. *)
-
-(** {1 Figures} *)
-
-type series = {
-  series_label : string;
-  points : (float * float) list;  (** (x, y) *)
-}
-
-type figure = {
-  fig_id : string;
-  fig_title : string;
-  x_label : string;
-  y_label : string;
-  series : series list;
-}
-
-val render_figure : Format.formatter -> figure -> unit
-(** Prints each series as aligned numeric columns plus a coarse ASCII
-    plot — enough to eyeball the exponential-backoff shape the paper's
-    Figure 4 shows. *)
-
-val print_figure : figure -> unit
-
-val figure_to_json : figure -> string
-(** The figure as one JSON object with a [series] array of
-    [{"label":..., "points":[[x,y],...]}] objects. *)

@@ -2,8 +2,9 @@
 
     The paper presents its global-error-counter discovery as a ladder
     diagram (A and B exchanging m1, ACKs and retransmissions).  This
-    module regenerates such diagrams: when {!Network.set_msc_enabled} is
-    on, every transmission records an [msc] trace entry carrying source,
+    module regenerates such diagrams: while the simulation wants message
+    labels ({!Pfi_engine.Sim.set_want_labels}), every transmission
+    records an [msc] trace entry carrying source,
     destination, arrival time and a label (protocols may set the
     {!label_attr} message attribute; otherwise the payload size is
     shown); {!render} lays the entries out as a two-column ladder, or as

@@ -22,7 +22,6 @@ type t = {
   mutable delivered : int;
   mutable dropped : int;
   mutable trace_enabled : bool;
-  mutable msc_enabled : bool;
 }
 
 let create ?(default_latency = Vtime.ms 1) sim =
@@ -39,8 +38,7 @@ let create ?(default_latency = Vtime.ms 1) sim =
     sent = 0;
     delivered = 0;
     dropped = 0;
-    trace_enabled = false;
-    msc_enabled = false }
+    trace_enabled = false }
 
 let sim t = t.sim
 
@@ -63,11 +61,6 @@ let sent_count t = t.sent
 let delivered_count t = t.delivered
 let dropped_count t = t.dropped
 let set_trace_enabled t flag = t.trace_enabled <- flag
-let set_msc_enabled t flag =
-  t.msc_enabled <- flag;
-  (* protocol layers only format msc.label decorations when a renderer
-     is listening (see Sim.set_want_labels) *)
-  Sim.set_want_labels t.sim flag
 
 (* Callers must check [t.trace_enabled] BEFORE building the fields list
    and detail string: tracing is off in campaign trials, and eagerly
@@ -76,14 +69,15 @@ let set_msc_enabled t flag =
 let trace ?fields t ~node ~tag detail =
   if t.trace_enabled then Sim.record ?fields t.sim ~node ~tag detail
 
-(* One entry per transmission, carrying everything the MSC renderer
-   needs (see Msc.parse_entry for the format).  [time] is the send
-   time: deliveries record their entry from inside the delivery
-   callback (so an in-flight unplug is rendered as a drop, not an
-   arrival), which is why the stamp is passed explicitly rather than
-   read from the clock. *)
+(* One entry per transmission while a renderer wants message labels
+   (Sim.want_labels), carrying everything the MSC renderer needs (see
+   Msc.parse_entry for the format).  [time] is the send time:
+   deliveries record their entry from inside the delivery callback (so
+   an in-flight unplug is rendered as a drop, not an arrival), which is
+   why the stamp is passed explicitly rather than read from the
+   clock. *)
 let msc_record t ~time ~src ~dst ~arrival msg =
-  if t.msc_enabled then begin
+  if Sim.want_labels t.sim then begin
     let label =
       match Message.get_attr msg "msc.label" with
       | Some l -> l

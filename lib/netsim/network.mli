@@ -80,8 +80,3 @@ val dropped_count : t -> int
 val set_trace_enabled : t -> bool -> unit
 (** When on, every send/deliver/drop is recorded in the simulation
     trace under tags [net.send] / [net.deliver] / [net.drop]. *)
-
-val set_msc_enabled : t -> bool -> unit
-(** When on, every transmission records an [msc] trace entry for
-    {!Msc.render} (labels come from the [msc.label] message
-    attribute). *)

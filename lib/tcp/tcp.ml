@@ -262,9 +262,15 @@ let transmit_inflight c (s : inflight) ~retransmission =
       (match c.timing with
        | Some (end_seq, _) when Seq32.le end_seq (if_end s) -> c.timing <- None
        | _ -> ());
-    record c.tcp "tcp.retransmit"
-      (Printf.sprintf "port=%d seq=%d n=%d rto=%s" c.local_port s.if_seq
-         s.if_rexmits (Vtime.to_string (effective_rto c)))
+    (* the connection is mutable: snapshot what the detail shows *)
+    let port = c.local_port and seq = s.if_seq and n = s.if_rexmits
+    and rto = effective_rto c
+    and srtt = if c.have_rtt then Some (Vtime.us (int_of_float c.srtt)) else None in
+    Sim.record_lazy c.tcp.sim ~node:c.tcp.node_name ~tag:"tcp.retransmit"
+      (lazy
+        (Printf.sprintf "port=%d seq=%d n=%d rto=%s srtt=%s" port seq n
+           (Vtime.to_string rto)
+           (match srtt with Some t -> Vtime.to_string t | None -> "-")))
   end;
   emit c seg
 

@@ -1,4 +1,5 @@
 open Pfi_engine
+open Pfi_core
 open Pfi_tcp
 
 type check = {
@@ -20,16 +21,18 @@ type row = {
   row_quirk : string;
   cfg_phase : Tcp_harness.phase;
   cfg_chunks : int;
+  cfg_every : Vtime.t;  (** send spacing of the harness workload *)
   cfg_keepalive : bool;
   cfg_server_reads : bool;
   cfg_heal : bool;
   cfg_side : Campaign.side;
   cfg_fault : Generator.fault;
   cfg_script : string option;  (** overrides the fault's filter *)
-  cfg_arm : (Vtime.t * string) option;
-      (** install this send-filter source at this virtual time — the
-          delayed fault window keep-alive rows need (the harness heals
-          filters at 3 min, so a probe-drop must arrive later) *)
+  cfg_arm : (Sim.t -> Pfi_core.Pfi_layer.t -> unit) option;
+      (** the trial's {!Campaign.trial.t_arm} hook: fault windows that
+          open after the harness heals its filters at 3 min (keep-alive
+          probe drops, the two-day outage), second filters, and failure
+          models *)
   cfg_horizon : Vtime.t;
   row_oracle : Campaign.outcome -> Trace.t -> check list;
 }
@@ -166,8 +169,8 @@ if {[msg_type cur_msg] == "ACK"} {
 }
 |}
 
-let counter_oracle (p : Profile.t) _outcome trace =
-  (* per-stalled-message retry counts, in first-stall order *)
+(* per-stalled-message retry counts, in first-stall order *)
+let stalled_retries trace =
   let groups : (string * int ref) list ref = ref [] in
   List.iter
     (fun e ->
@@ -176,18 +179,22 @@ let counter_oracle (p : Profile.t) _outcome trace =
       | Some cell -> cell := max !cell n
       | None -> groups := !groups @ [ (seq, ref n) ])
     (client "tcp.retransmit" trace);
+  List.map (fun (_, n) -> !n) !groups
+
+let counter_oracle (p : Profile.t) _outcome trace =
+  let groups = stalled_retries trace in
   let accounting =
-    match !groups with
-    | [ (_, m1); (_, m2) ] ->
-      if !m2 = p.Profile.max_data_retries then
+    match groups with
+    | [ m1; m2 ] ->
+      if m2 = p.Profile.max_data_retries then
         "per-message (an ACK resets the count)"
-      else if !m1 + !m2 = p.Profile.max_data_retries then
+      else if m1 + m2 = p.Profile.max_data_retries then
         "global (second message inherits the count)"
-      else Printf.sprintf "unrecognized (%d then %d retries)" !m1 !m2
+      else Printf.sprintf "unrecognized (%d then %d retries)" m1 m2
     | gs -> Printf.sprintf "unrecognized (%d stalled messages)" (List.length gs)
   in
   [ check_int "stalled messages observed" ~paper:2
-      ~measured:(List.length !groups);
+      ~measured:(List.length groups);
     check "retry accounting"
       ~paper:
         (if p.Profile.global_error_counter then
@@ -267,30 +274,6 @@ let keepalive_oracle (p : Profile.t) _outcome trace =
       ~measured:(failure_action trace);
     check "close reason" ~paper:"keepalive-exhausted"
       ~measured:(close_reason trace) ]
-
-(* paper Table 4: the server stops consuming, the window shuts, and
-   the persist timer's probe interval backs off to a vendor ceiling —
-   and never gives up *)
-let zerowin_oracle (p : Profile.t) _outcome trace =
-  let probes = client "tcp.persist-probe" trace in
-  [ check "probe-interval ceiling"
-      ~paper:(Vtime.to_string p.Profile.persist_max)
-      ~measured:
-        (match last probes with
-         | Some e -> kv_exn e "interval"
-         | None -> "no probes");
-    check "probe-interval trend" ~paper:"monotone non-decreasing"
-      ~measured:
-        (if monotone_nondecreasing (gaps probes) then
-           "monotone non-decreasing"
-         else "erratic");
-    check_at_least "persist probes observed" ~floor:20
-      ~measured:(List.length probes);
-    check "gives up?" ~paper:"probes forever"
-      ~measured:
-        (match client "tcp.closed" trace with
-         | [] -> "probes forever"
-         | e :: _ -> "closes (" ^ kv_exn e "reason" ^ ")") ]
 
 (* beyond the paper's tables: the 10-state FSM's opening leg — both
    initial SYNs are dropped, the handshake must complete off the
@@ -374,6 +357,232 @@ let teardown_oracle (_ : Profile.t) outcome trace =
     check "stream delivered" ~paper:"intact"
       ~measured:(service_measured outcome) ]
 
+(* a check whose paper column states a bound rather than a value *)
+let check_bound label ~paper ~measured pass =
+  { ck_label = label; ck_paper = paper; ck_measured = measured; ck_pass = pass }
+
+let is_data e = String.starts_with ~prefix:"DATA " (Trace.detail e)
+
+let still_open trace =
+  match client "tcp.closed" trace with
+  | [] -> "still open"
+  | e :: _ -> "closed (" ^ kv_exn e "reason" ^ ")"
+
+(* the segment the client was still retransmitting when it gave up:
+   its original transmission (the first DATA the client emitted with
+   that sequence number) followed by every retransmission of it *)
+let stalled_segment trace =
+  let rx = client "tcp.retransmit" trace in
+  match last rx with
+  | None -> []
+  | Some final ->
+    let seq = kv (Trace.detail final) "seq" in
+    let original =
+      List.find_opt
+        (fun e -> is_data e && kv (Trace.detail e) "seq" = seq)
+        (client "tcp.out" trace)
+    in
+    Option.to_list original
+    @ List.filter (fun e -> kv (Trace.detail e) "seq" = seq) rx
+
+let series_string = function
+  | [] -> "no retransmissions"
+  | gs ->
+    String.concat " "
+      (List.map (fun g -> Printf.sprintf "%g" (Vtime.to_sec_f g)) gs)
+    ^ " s"
+
+(* paper Table 2: the BSD stacks' first retransmission under 3 s ACK
+   delays, i.e. the RTO they adapted to the apparent round trip *)
+let table2_first_rexmt =
+  [ ("SunOS 4.1.3", 6.5); ("AIX 3.2.3", 8.0); ("NeXT Mach", 5.0) ]
+
+(* paper Table 2 and Figure 4: thirty ACKs arrive [delay] late, then
+   the client's data vanishes; the stalled segment's retransmission
+   schedule shows whether the RTO adapted to the apparent round trip *)
+let rto_delay_oracle ~delay (p : Profile.t) _outcome trace =
+  let stalled = stalled_segment trace in
+  let series = gaps stalled in
+  let retries =
+    List.length (List.filter (fun e -> e.Trace.tag = "tcp.retransmit") stalled)
+  in
+  let first = match series with g :: _ -> Some g | [] -> None in
+  let measured =
+    match first with Some g -> Vtime.to_string g | None -> "no retransmissions"
+  in
+  let first_check =
+    match List.assoc_opt p.Profile.name table2_first_rexmt with
+    | Some s when Vtime.equal delay (Vtime.sec 3) ->
+      check "first retransmission"
+        ~paper:(Vtime.to_string (Vtime.of_sec_f s))
+        ~measured
+    | _ when p.Profile.use_jacobson ->
+      check_bound "first retransmission"
+        ~paper:("over the " ^ Vtime.to_string delay ^ " delay (adapted)")
+        ~measured
+        (match first with Some g -> Vtime.(g > delay) | None -> false)
+    | _ ->
+      check_bound "first retransmission"
+        ~paper:("under the " ^ Vtime.to_string delay ^ " delay (not adapted)")
+        ~measured
+        (match first with Some g -> Vtime.(g < delay) | None -> false)
+  in
+  let max_retries = p.Profile.max_data_retries in
+  [ first_check;
+    (if p.Profile.global_error_counter then
+       check_bound "retransmissions before giving up"
+         ~paper:(Printf.sprintf "fewer than %d (closed early)" max_retries)
+         ~measured:(string_of_int retries)
+         (retries > 0 && retries < max_retries)
+     else
+       check_int "retransmissions before giving up" ~paper:max_retries
+         ~measured:retries);
+    check_bound "backoff series (Figure 4)" ~paper:"non-decreasing"
+      ~measured:(series_string series)
+      (series <> [] && monotone_nondecreasing series);
+    check "failure action" ~paper:(rst_name p.Profile.rst_on_timeout)
+      ~measured:(failure_action trace) ]
+
+(* paper §4.1: m1's retransmissions before its 35 s-delayed ACK *)
+let paper_m1_retries = 6
+
+(* the paper's exact global-error-counter probe: thirty segments pass,
+   m1's ACK is delayed 35 s, everything the client sends after m1 is
+   dropped.  A global counter charges m1's timeouts against m2 *)
+let counter_probe_oracle (p : Profile.t) _outcome trace =
+  let groups = stalled_retries trace in
+  let nth i = Option.value (List.nth_opt groups i) ~default:0 in
+  let max_retries = p.Profile.max_data_retries in
+  [ check_int "stalled messages observed" ~paper:2
+      ~measured:(List.length groups) ]
+  @ (if p.Profile.global_error_counter then
+       [ check_int "m1 retransmissions before its ACK arrived"
+           ~paper:paper_m1_retries ~measured:(nth 0);
+         check_int "m2 retransmissions before the connection dropped"
+           ~paper:(max_retries - paper_m1_retries) ~measured:(nth 1) ]
+     else
+       [ check_int "m2 retransmissions before the connection dropped"
+           ~paper:max_retries ~measured:(nth 1) ])
+  @ [ check "failure action" ~paper:(rst_name p.Profile.rst_on_timeout)
+        ~measured:(failure_action trace);
+      check "close reason" ~paper:"rexmt-exhausted"
+        ~measured:(close_reason trace) ]
+
+(* paper Table 3, probes answered: each ACKed probe re-arms the idle
+   timer, so probing repeats at the idle threshold for as long as the
+   peer answers *)
+let keepalive_acked_oracle (p : Profile.t) _outcome trace =
+  let probes = client "tcp.keepalive-probe" trace in
+  let idles =
+    List.sort_uniq compare
+      (List.filter_map
+         (fun probe ->
+           (* the last segment the client received before this probe *)
+           match
+             last
+               (List.filter
+                  (fun e -> Vtime.(e.Trace.time < probe.Trace.time))
+                  (client "tcp.in" trace))
+           with
+           | Some e -> Some (Vtime.sub probe.Trace.time e.Trace.time)
+           | None -> None)
+         probes)
+  in
+  [ check_at_least "probes answered" ~floor:3 ~measured:(List.length probes);
+    check "idle before each probe"
+      ~paper:(Vtime.to_string p.Profile.keepalive_idle)
+      ~measured:
+        (match idles with
+         | [] -> "no probes"
+         | is -> String.concat ", " (List.map Vtime.to_string is));
+    check "connection" ~paper:"still open" ~measured:(still_open trace) ]
+
+(* paper Table 4: the persist timer keeps probing a closed window and
+   never gives up, whether or not the probes are answered *)
+let zerowin_oracle ~min_probes (p : Profile.t) _outcome trace =
+  let probes = client "tcp.persist-probe" trace in
+  [ check "probe-interval ceiling"
+      ~paper:(Vtime.to_string p.Profile.persist_max)
+      ~measured:
+        (match last probes with
+         | Some e -> kv_exn e "interval"
+         | None -> "no probes");
+    check "probe-interval trend" ~paper:"monotone non-decreasing"
+      ~measured:
+        (if monotone_nondecreasing (gaps probes) then
+           "monotone non-decreasing"
+         else "erratic");
+    check_at_least "persist probes observed" ~floor:min_probes
+      ~measured:(List.length probes);
+    check "gives up?" ~paper:"probes forever"
+      ~measured:
+        (match client "tcp.closed" trace with
+         | [] -> "probes forever"
+         | e :: _ -> "closes (" ^ kv_exn e "reason" ^ ")") ]
+
+(* paper Table 4's unplugged Ethernet: the client is cut off both ways
+   for two days; probing must resume once it is reconnected *)
+let outage_oracle ~until _p _outcome trace =
+  let resumed =
+    List.filter
+      (fun e ->
+        Vtime.(
+          e.Trace.time >= until
+          && e.Trace.time < Vtime.add until (Vtime.minutes 10)))
+      (Trace.find ~node:"server" ~tag:"tcp.in" trace)
+  in
+  [ check_at_least "probes delivered within 10 min of reconnection"
+      ~floor:5 ~measured:(List.length resumed);
+    check "connection after the outage" ~paper:"still open"
+      ~measured:(still_open trace) ]
+
+(* paper §4.1, Experiment 5: the first DATA is held back, so the
+   second reaches the server ahead of it; the server (same vendor)
+   must queue it, because its retransmissions are dropped *)
+let reorder_oracle _p outcome trace =
+  let seqs =
+    List.map
+      (fun e -> kv_int e "seq")
+      (List.filter is_data (Trace.find ~node:"server" ~tag:"tcp.in" trace))
+  in
+  [ check "segment overtaken in flight" ~paper:"yes"
+      ~measured:
+        (match seqs with
+         | first :: rest when List.exists (fun s -> s < first) rest -> "yes"
+         | _ -> "no");
+    check "stream delivered" ~paper:"intact"
+      ~measured:(service_measured outcome) ]
+
+(* ablation A: Karn's rule keeps ambiguous samples (a retransmitted
+   segment timed from its first transmission) out of the estimator.
+   The rig's round trip is the 100 ms timing delay each way plus the
+   network's 1 ms link latency each way *)
+let karn_rtt = Vtime.ms 202
+let karn_bound = Vtime.mul karn_rtt 4
+
+let karn_oracle (p : Profile.t) _outcome trace =
+  let rx = client "tcp.retransmit" trace in
+  let srtt =
+    match last rx with Some e -> kv_exn e "srtt" | None -> "no retransmissions"
+  in
+  (* the detail renders the estimate with Vtime.to_string *)
+  let inflated =
+    Option.join
+      (Scanf.sscanf_opt srtt "%f%s%!" (fun f unit ->
+           match unit with
+           | "s" -> Some (Vtime.of_sec_f f)
+           | "ms" -> Some (Vtime.of_sec_f (f /. 1e3))
+           | _ -> None))
+    |> Option.map (fun t -> Vtime.(t > karn_bound))
+  in
+  let bound = Printf.sprintf "4x the %s round trip" (Vtime.to_string karn_rtt) in
+  [ check_at_least "retransmissions observed" ~floor:1
+      ~measured:(List.length rx);
+    check_bound "srtt at the last retransmission"
+      ~paper:((if p.Profile.karn_sampling then "within " else "over ") ^ bound)
+      ~measured:srtt
+      (inflated = Some (not p.Profile.karn_sampling)) ]
+
 (* ------------------------------------------------------------------ *)
 (* The catalog                                                        *)
 (* ------------------------------------------------------------------ *)
@@ -383,6 +592,8 @@ type section_meta = {
   sec_title : string;
   sec_blurb : string;
 }
+
+let rto_delays = [ 3; 8 ]
 
 let sections =
   [ { sec_key = "rexmt";
@@ -424,18 +635,90 @@ let sections =
          an orderly close; the duplicate must not derail the FIN_WAIT_1 \
          \xe2\x86\x92 FIN_WAIT_2 \xe2\x86\x92 TIME_WAIT walk, and the 2MSL \
          wait must expire on its own." } ]
+  @ List.map
+      (fun delay ->
+        { sec_key = Printf.sprintf "rto-delay-%ds" delay;
+          sec_title =
+            Printf.sprintf
+              "RTO under %d s delayed ACKs (paper Table 2, Figure 4)" delay;
+          sec_blurb =
+            Printf.sprintf
+              "The client sends one segment every %d s.  Its first thirty \
+               ACKs are held %d s in the receive filter, then every DATA it \
+               sends is dropped.  The stalled segment's first \
+               retransmission shows whether the RTO adapted to the apparent \
+               round trip; its retransmission gaps are Figure 4's series."
+              (delay + 1) delay })
+      rto_delays
+  @ [ { sec_key = "counter-probe";
+        sec_title = "The global error counter probe (paper \xc2\xa74.1)";
+        sec_blurb =
+          "The paper's exact rig: the client sends a segment every 400 ms, \
+           thirty pass, the ACK of the thirty-first (m1) is held 35 s, and \
+           everything sent after m1 is dropped.  The retransmissions of the \
+           second stalled message (m2) show whether it inherited m1's \
+           timeouts.  `pfi_run msc` draws the Solaris row as a ladder." };
+      { sec_key = "keepalive-acked";
+        sec_title = "Keep-alive probes answered (paper Table 3)";
+        sec_blurb =
+          "The connection idles with keep-alive enabled and the peer \
+           answers every probe, so each answer re-arms the idle timer." };
+      { sec_key = "zerowin-dropped";
+        sec_title = "Zero-window probes dropped (paper Table 4)";
+        sec_blurb =
+          "As in the zero-window section, but from 5 min on a send-side \
+           filter drops every probe: nothing answers the persist timer." };
+      { sec_key = "zerowin-outage";
+        sec_title = "Two-day outage while probing a zero window (paper Table 4)";
+        sec_blurb =
+          "After 10 min of zero-window probing both filters drop everything \
+           for 48 h, the PFI stand-in for the paper's unplugged Ethernet; \
+           then the client is reconnected." };
+      { sec_key = "reorder";
+        sec_title = "Reordering (paper \xc2\xa74.1, Experiment 5)";
+        sec_blurb =
+          "The client sends a segment every 100 ms; its send filter holds \
+           the first DATA back 3 s and drops every retransmission of the \
+           second, so the second reaches the server first and is never \
+           resent.  The server runs the same vendor profile, and the \
+           stream arrives intact only if it queued the early segment." };
+      { sec_key = "ablation-karn";
+        sec_title = "Ablation A: Karn's sampling rule (not in the paper)";
+        sec_blurb =
+          "An x-Kernel profile with a 10 ms variance floor and timer granule \
+           behind two layered failure models: a 100 ms timing delay each \
+           way and 25% send omission.  Without Karn's rule, samples timed \
+           from a retransmitted segment's first transmission include the \
+           timeout wait and inflate the smoothed RTT." };
+      { sec_key = "ablation-counter";
+        sec_title = "Ablation B: retry accounting policy (not in the paper)";
+        sec_blurb =
+          "The counter probe on Solaris 2.3 with its global error counter \
+           on and off: with it m1's six timeouts are charged against m2, \
+           without it m2 gets the full budget." } ]
 
 let plural n = if n = 1 then "" else "s"
 
+(* an arm hook that acts on the PFI layer at virtual time [t] *)
+let at t f sim pfi = ignore (Sim.schedule sim ~delay:t (fun () -> f pfi))
+
+let drop = "xDrop cur_msg"
+
+(* from [t] on the send filter drops everything: [t] lies after the
+   harness's 3 min heal point, which would clear an earlier filter *)
+let drop_sends_from t = at t (fun pfi -> Pfi_layer.set_send_filter pfi drop)
+
 let mk ~section ~(p : Profile.t) ~quirk ?(phase = Tcp_harness.Stream)
-    ?(chunks = 12) ?(keepalive = false) ?(server_reads = true) ?(heal = true)
-    ?(side = Campaign.Send_filter) ?script ?arm ~horizon ~oracle fault =
+    ?(chunks = 12) ?(every = Vtime.sec 2) ?(keepalive = false)
+    ?(server_reads = true) ?(heal = true) ?(side = Campaign.Send_filter)
+    ?script ?arm ~horizon ~oracle fault =
   { row_id = section ^ "/" ^ Profile.slug p;
     row_section = section;
     row_profile = p;
     row_quirk = quirk;
     cfg_phase = phase;
     cfg_chunks = chunks;
+    cfg_every = every;
     cfg_keepalive = keepalive;
     cfg_server_reads = server_reads;
     cfg_heal = heal;
@@ -478,7 +761,7 @@ let keepalive_row (p : Profile.t) =
           else "")
          (if p.Profile.keepalive_rst_on_fail then "RST" else "silent close"))
     ~chunks:2 ~keepalive:true ~script:""
-    ~arm:(Vtime.minutes 5, "xDrop cur_msg")
+    ~arm:(drop_sends_from (Vtime.minutes 5))
     ~horizon:(Vtime.hours 3) ~oracle:keepalive_oracle
     (Generator.Drop_all "DATA")
 
@@ -489,7 +772,7 @@ let zerowin_row (p : Profile.t) =
                        give up"
          (Vtime.to_string p.Profile.persist_max))
     ~chunks:60 ~server_reads:false ~script:"" ~horizon:(Vtime.minutes 30)
-    ~oracle:zerowin_oracle (Generator.Drop_all "DATA")
+    ~oracle:(zerowin_oracle ~min_probes:20) (Generator.Drop_all "DATA")
 
 let handshake_row (p : Profile.t) =
   mk ~section:"handshake" ~p
@@ -506,11 +789,183 @@ let teardown_row (p : Profile.t) =
     ~phase:Tcp_harness.Close ~horizon:(Vtime.minutes 10)
     ~oracle:teardown_oracle (Generator.Duplicate "FIN")
 
+(* thirty ACKs are held [delay] s in the receive filter; the thirtieth
+   tells the send filter to drop every DATA from then on *)
+let rto_delay_script delay =
+  Printf.sprintf
+    {|
+if {$direction == "receive"} {
+  if {[msg_type cur_msg] == "ACK"} {
+    if {![info exists acks]} { set acks 0 }
+    incr acks
+    if {$acks <= 30} { xDelay cur_msg %d }
+    if {$acks == 30} { peer_set dropping 1 }
+  }
+} elseif {[info exists dropping] && [msg_type cur_msg] == "DATA"} {
+  xDrop cur_msg
+}
+|}
+    delay
+
+let rto_delay_row delay (p : Profile.t) =
+  let span = Vtime.sec delay in
+  mk ~section:(Printf.sprintf "rto-delay-%ds" delay) ~p
+    ~quirk:
+      (Printf.sprintf "RTO %s the %d s ACK delay; %s"
+         (if p.Profile.use_jacobson then "adapts to" else "ignores")
+         delay
+         (if p.Profile.global_error_counter then
+            "the global error counter closes the connection early"
+          else
+            Printf.sprintf "%d retransmissions, then %s"
+              p.Profile.max_data_retries
+              (rst_name p.Profile.rst_on_timeout)))
+    ~chunks:40 ~every:(Vtime.sec (delay + 1)) ~heal:false
+    ~side:Campaign.Both_filters ~script:(rto_delay_script delay)
+    ~horizon:(Vtime.minutes 30) ~oracle:(rto_delay_oracle ~delay:span)
+    (Generator.Delay_each ("ACK", float_of_int delay))
+
+let counter_probe_script =
+  {|
+if {$direction == "send"} {
+  if {[msg_type cur_msg] == "DATA"} {
+    if {![info exists sent]} { set sent 0 }
+    incr sent
+    if {$sent == 31} { peer_set hold_ack 1 }
+    if {$sent > 31} { xDrop cur_msg }
+  }
+} elseif {[info exists hold_ack] && [msg_type cur_msg] == "ACK"} {
+  if {$hold_ack == 1} {
+    set hold_ack 0
+    xDelay cur_msg 35
+  }
+}
+|}
+
+let counter_probe_row ~section (p : Profile.t) =
+  mk ~section ~p
+    ~quirk:
+      (if p.Profile.global_error_counter then
+         Printf.sprintf
+           "m1 is retransmitted %d times before its ACK; m2 inherits the \
+            count and dies after %d"
+           paper_m1_retries
+           (p.Profile.max_data_retries - paper_m1_retries)
+       else
+         Printf.sprintf "m2 gets the full budget of %d retransmissions"
+           p.Profile.max_data_retries)
+    ~chunks:32 ~every:(Vtime.ms 400) ~heal:false ~side:Campaign.Both_filters
+    ~script:counter_probe_script ~horizon:(Vtime.minutes 30)
+    ~oracle:counter_probe_oracle
+    (Generator.Delay_each ("ACK", 35.0))
+
+let keepalive_acked_row (p : Profile.t) =
+  mk ~section:"keepalive-acked" ~p
+    ~quirk:
+      (Printf.sprintf "answered probes repeat after every %s of idle; the \
+                       connection stays open"
+         (Vtime.to_string p.Profile.keepalive_idle))
+    ~chunks:2 ~keepalive:true ~script:"" ~horizon:(Vtime.hours 10)
+    ~oracle:keepalive_acked_oracle (Generator.Drop_all "DATA")
+
+let zerowin_dropped_row (p : Profile.t) =
+  mk ~section:"zerowin-dropped" ~p
+    ~quirk:
+      (Printf.sprintf "unanswered probes back off to a %s ceiling and never \
+                       give up"
+         (Vtime.to_string p.Profile.persist_max))
+    ~chunks:60 ~server_reads:false ~script:""
+    ~arm:(drop_sends_from (Vtime.minutes 5))
+    ~horizon:(Vtime.minutes 95) ~oracle:(zerowin_oracle ~min_probes:50)
+    (Generator.Drop_all "DATA")
+
+let outage_start = Vtime.minutes 10
+let outage_end = Vtime.add outage_start (Vtime.hours 48)
+
+let zerowin_outage_row (p : Profile.t) =
+  let cut pfi =
+    Pfi_layer.set_send_filter pfi drop;
+    Pfi_layer.set_receive_filter pfi drop
+  and reconnect pfi =
+    Pfi_layer.clear_send_filter pfi;
+    Pfi_layer.clear_receive_filter pfi
+  in
+  mk ~section:"zerowin-outage" ~p
+    ~quirk:"zero-window probing survives a two-day outage and resumes on \
+            reconnection"
+    ~chunks:60 ~server_reads:false ~script:""
+    ~arm:(fun sim pfi ->
+        at outage_start cut sim pfi;
+        at outage_end reconnect sim pfi)
+    ~horizon:(Vtime.add outage_end (Vtime.minutes 20))
+    ~oracle:(outage_oracle ~until:outage_end) (Generator.Drop_all "DATA")
+
+let reorder_script =
+  {|
+if {[msg_type cur_msg] == "DATA"} {
+  set seq [msg_field cur_msg seq]
+  if {![info exists first]} {
+    set first $seq
+    xDelay cur_msg 3
+  } elseif {$seq != $first} {
+    if {![info exists second]} {
+      set second $seq
+    } elseif {$seq == $second} {
+      xDrop cur_msg
+    }
+  }
+}
+|}
+
+let reorder_row (p : Profile.t) =
+  mk ~section:"reorder" ~p
+    ~quirk:"queues the overtaking segment; when the gap fills, acknowledges \
+            the data from both"
+    ~every:(Vtime.ms 100) ~script:reorder_script ~horizon:(Vtime.minutes 10)
+    ~oracle:reorder_oracle (Generator.Reorder "DATA")
+
+let karn_profile karn_sampling =
+  { Profile.xkernel with
+    Profile.name = (if karn_sampling then "Karn on" else "Karn off");
+    karn_sampling;
+    rttvar_floor = Vtime.ms 10;
+    rto_granule = Vtime.ms 10 }
+
+let karn_row (p : Profile.t) =
+  mk ~section:"ablation-karn" ~p
+    ~quirk:
+      (if p.Profile.karn_sampling then
+         "retransmitted segments are not timed; the estimate tracks the path"
+       else "retransmitted segments are timed; the estimate absorbs timeouts")
+    ~chunks:60 ~script:""
+    ~arm:(fun _sim pfi ->
+        Failure_models.apply pfi (Failure_models.Timing { mean = 0.1; std = 0.0 });
+        Failure_models.apply pfi (Failure_models.Send_omission { p = 0.25 }))
+    ~horizon:(Vtime.minutes 4) ~oracle:karn_oracle
+    (Generator.Drop_fraction ("DATA", 0.25))
+
+let counter_profile global_error_counter =
+  { Profile.solaris_23 with
+    Profile.name =
+      (if global_error_counter then "global counter" else "per-segment counter");
+    global_error_counter }
+
 let catalog () =
   List.concat_map
     (fun builder -> List.map builder Profile.all_vendors)
     [ rexmt_row; counter_row; keepalive_row; zerowin_row; handshake_row;
       teardown_row ]
+  @ List.concat_map
+      (fun builder -> List.map builder Profile.all_vendors)
+      (List.map rto_delay_row rto_delays
+       @ [ counter_probe_row ~section:"counter-probe"; keepalive_acked_row;
+           zerowin_dropped_row ])
+  @ [ zerowin_outage_row Profile.sunos_413 ]
+  @ List.map reorder_row Profile.all_vendors
+  @ List.map karn_row [ karn_profile true; karn_profile false ]
+  @ List.map
+      (counter_probe_row ~section:"ablation-counter")
+      [ counter_profile true; counter_profile false ]
 
 let golden_catalog () =
   [ rexmt_row Profile.sunos_413; rexmt_row Profile.solaris_23 ]
@@ -548,32 +1003,30 @@ let row_seed ~seed row =
   Campaign.trial_seed_of_key ~campaign_seed:seed ~side:row.cfg_side
     (fnv64 row.row_id)
 
-let run_row ~seed ~override row =
+let trial ~seed ~override row =
   let profile = Option.value override ~default:row.row_profile in
   let harness =
-    Tcp_harness.harness ~chunk_count:row.cfg_chunks ~profile
-      ~phase:row.cfg_phase ~keepalive:row.cfg_keepalive
+    Tcp_harness.harness ~chunk_count:row.cfg_chunks ~every:row.cfg_every
+      ~profile ~phase:row.cfg_phase ~keepalive:row.cfg_keepalive
       ~server_reads:row.cfg_server_reads ~heal:row.cfg_heal ()
   in
-  let arm =
-    Option.map
-      (fun (at, src) sim pfi ->
-        ignore
-          (Sim.schedule sim ~delay:at (fun () ->
-               Pfi_core.Pfi_layer.set_send_filter pfi src)))
-      row.cfg_arm
-  in
-  let res_seed = row_seed ~seed row in
   let outcome =
     Campaign.run_trial harness ~side:row.cfg_side ~horizon:row.cfg_horizon
-      ~seed:res_seed ~capture_trace:true ?script:row.cfg_script ?arm
-      row.cfg_fault
+      ~seed:(row_seed ~seed row) ~capture_trace:true ?script:row.cfg_script
+      ?arm:row.cfg_arm row.cfg_fault
   in
-  let trace =
-    match outcome.Campaign.trace with
-    | Some t -> t
-    | None -> assert false (* capture_trace:true *)
-  in
+  match outcome.Campaign.trace with
+  | Some t -> (outcome, t)
+  | None -> assert false (* capture_trace:true *)
+
+let trial_trace ?(seed = Campaign.default_seed) row =
+  snd (trial ~seed ~override:None row)
+
+let find id = List.find_opt (fun r -> r.row_id = id) (catalog ())
+
+let run_row ~seed ~override row =
+  let res_seed = row_seed ~seed row in
+  let outcome, trace = trial ~seed ~override row in
   let checks = row.row_oracle outcome trace in
   { res_id = row.row_id;
     res_section = row.row_section;

@@ -14,7 +14,10 @@
     measures the quirk from the recorded {!Pfi_engine.Trace.t} alone —
     the verdict of the trial's service oracle is deliberately ignored,
     because most quirks only manifest while the service guarantee is
-    being violated.
+    being violated.  Beyond the quirk tables the catalog carries the
+    rest of the paper's TCP experiments (Table 2, Figure 4, Experiment
+    5) and two ablations, so every TCP artifact [pfi_run run] prints is
+    a set of catalog sections.
 
     {!run} executes a catalog through {!Campaign.run_trial} on any
     {!Executor.t}; per-row seeds are pure functions of the campaign
@@ -48,17 +51,27 @@ val row_id : row -> string
     trial seed is derived from it. *)
 
 val row_section : row -> string
-(** Section key: ["rexmt"], ["counter"], ["keepalive"], ["zerowin"],
-    ["handshake"] or ["teardown"]. *)
+(** Section key.  The vendor matrix: ["rexmt"], ["counter"],
+    ["keepalive"], ["zerowin"], ["handshake"], ["teardown"].  The rest
+    of the paper's TCP experiments: ["rto-delay-3s"], ["rto-delay-8s"]
+    (Table 2 and Figure 4), ["counter-probe"] (the §4.1 35 s
+    probe), ["keepalive-acked"] (Table 3), ["zerowin-dropped"],
+    ["zerowin-outage"] (Table 4), ["reorder"] (Experiment 5).  The
+    ablations: ["ablation-karn"], ["ablation-counter"]. *)
 
 val row_vendor : row -> string
-(** The vendor profile's {!Pfi_tcp.Profile.slug}. *)
+(** The vendor profile's {!Pfi_tcp.Profile.slug}.  Ablation rows run
+    custom profiles (e.g. ["karn-off"]). *)
 
 val catalog : unit -> row list
-(** The full matrix: every section crossed with all four paper
-    vendors (paper Tables 1–4 plus the handshake/teardown lifecycle
-    sections that exercise the rest of the 10-state FSM), in report
-    order. *)
+(** Every row, in report order: the six vendor-matrix sections crossed
+    with all four paper vendors (paper Tables 1–4 plus the
+    handshake/teardown lifecycle sections that exercise the rest of
+    the 10-state FSM), then the remaining experiment sections listed
+    under {!row_section}. *)
+
+val find : string -> row option
+(** The catalog row with this {!row_id}. *)
 
 val golden_catalog : unit -> row list
 (** A two-row subset (retransmission exhaustion for SunOS 4.1.3 and
@@ -94,6 +107,11 @@ val run :
     ({!Pfi_tcp.Profile.find} name or slug) {e while keeping each row's
     own expectations} — the wrong-knob negative control.  Raises
     [Invalid_argument] on an unknown override name. *)
+
+val trial_trace : ?seed:int64 -> row -> Pfi_engine.Trace.t
+(** Runs one row's trial exactly as {!run} does (same derived seed,
+    no profile override) and returns its trace — [pfi_run msc] draws
+    the §4.1 ladder from the Solaris [counter-probe] row. *)
 
 val passed : report -> int
 (** Rows whose every check passed. *)

@@ -44,9 +44,9 @@ let conn_exn env =
   | Some c -> c
   | None -> invalid_arg "tcp harness: workload has not opened the connection"
 
-let harness ?(chunk_count = 12) ?(profile = Profile.xkernel)
-    ?(phase = Stream) ?(keepalive = false) ?(server_reads = true)
-    ?(heal = true) () : Harness_intf.packed =
+let harness ?(chunk_count = 12) ?(every = Vtime.sec 2)
+    ?(profile = Profile.xkernel) ?(phase = Stream) ?(keepalive = false)
+    ?(server_reads = true) ?(heal = true) () : Harness_intf.packed =
   (module struct
     type nonrec env = env
 
@@ -110,7 +110,7 @@ let harness ?(chunk_count = 12) ?(profile = Profile.xkernel)
         (fun i data ->
           Buffer.add_string env.sent data;
           ignore
-            (Sim.schedule env.sim ~delay:(Vtime.sec (2 * i)) (fun () ->
+            (Sim.schedule env.sim ~delay:(Vtime.mul every i) (fun () ->
                  Tcp.send conn data)))
         env.chunks;
       (match phase with

@@ -52,6 +52,7 @@ val close_at : Vtime.t
 
 val harness :
   ?chunk_count:int ->
+  ?every:Vtime.t ->
   ?profile:Pfi_tcp.Profile.t ->
   ?phase:phase ->
   ?keepalive:bool ->
@@ -59,8 +60,8 @@ val harness :
   ?heal:bool ->
   unit ->
   Harness_intf.packed
-(** [chunk_count] payload chunks (default 12) are sent two seconds
-    apart, starting at virtual time zero.  [profile] (default
+(** [chunk_count] payload chunks (default 12) are sent [every]
+    (default two seconds) apart, starting at virtual time zero.  [profile] (default
     {!Pfi_tcp.Profile.xkernel}) configures {e both} endpoints.
     [keepalive] (default false) arms the client connection's
     keep-alive timer.  [server_reads] (default true) wires the

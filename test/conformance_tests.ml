@@ -28,9 +28,25 @@ let check_golden ~path actual =
 (* Catalog shape                                                      *)
 (* ------------------------------------------------------------------ *)
 
+let matrix_sections =
+  [ "rexmt"; "counter"; "keepalive"; "zerowin"; "handshake"; "teardown" ]
+
 let test_catalog_shape () =
   let rows = Conformance.catalog () in
-  Alcotest.(check int) "6 sections x 4 vendors" 24 (List.length rows);
+  let in_section section =
+    List.filter (fun r -> Conformance.row_section r = section) rows
+  in
+  Alcotest.(check int) "6 sections x 4 vendors" 24
+    (List.length (List.concat_map in_section matrix_sections));
+  (* the rest of the paper's TCP experiments and the ablations *)
+  List.iter
+    (fun (section, n) ->
+      Alcotest.(check int) (section ^ " rows") n
+        (List.length (in_section section)))
+    [ ("rto-delay-3s", 4); ("rto-delay-8s", 4); ("counter-probe", 4);
+      ("keepalive-acked", 4); ("zerowin-dropped", 4); ("zerowin-outage", 1);
+      ("reorder", 4); ("ablation-karn", 2); ("ablation-counter", 2) ];
+  Alcotest.(check int) "no other rows" 53 (List.length rows);
   let ids = List.map Conformance.row_id rows in
   Alcotest.(check int)
     "row ids are unique" (List.length ids)
@@ -44,7 +60,7 @@ let test_catalog_shape () =
            (List.filter
               (fun r -> Conformance.row_section r = section)
               rows)))
-    [ "rexmt"; "counter"; "keepalive"; "zerowin"; "handshake"; "teardown" ];
+    matrix_sections;
   List.iter
     (fun r ->
       Alcotest.(check string)
@@ -91,37 +107,53 @@ let test_committed_artifact () =
 (* Negative control                                                   *)
 (* ------------------------------------------------------------------ *)
 
-(* running the SunOS rexmt row against Solaris must fail exactly the
-   vendor-discriminating checks — proof the oracles measure the stack,
-   not the configuration *)
+(* running BSD rows against Solaris must fail exactly the
+   vendor-discriminating checks, while the Solaris rows still pass —
+   proof the oracles measure the stack, not the configuration *)
 let test_negative_override () =
-  let rep =
-    Conformance.run ~profile_override:"solaris-2.3"
-      (Conformance.golden_catalog ())
+  let rexmt = [ "retransmissions before giving up"; "backoff ceiling";
+                "failure action" ]
+  and rto_delay = [ "first retransmission"; "retransmissions before giving up";
+                    "failure action" ]
+  and probe = [ "m2 retransmissions before the connection dropped";
+                "failure action" ] in
+  let expected =
+    [ ("rexmt/sunos-4.1.3", rexmt); ("rexmt/solaris-2.3", []) ]
+    @ List.concat_map
+        (fun section ->
+          List.map
+            (fun slug -> (section ^ "/" ^ slug, rto_delay))
+            [ "sunos-4.1.3"; "aix-3.2.3"; "next-mach" ]
+          @ [ (section ^ "/solaris-2.3", []) ])
+        [ "rto-delay-3s"; "rto-delay-8s" ]
+    @ [ ("counter-probe/sunos-4.1.3", probe);
+        ("counter-probe/aix-3.2.3", probe);
+        ("counter-probe/next-mach", probe);
+        ("counter-probe/solaris-2.3", []) ]
   in
-  let find id =
-    List.find
-      (fun r -> r.Conformance.res_id = id)
-      rep.Conformance.rep_results
+  let rows =
+    List.map
+      (fun (id, _) ->
+        match Conformance.find id with
+        | Some r -> r
+        | None -> Alcotest.failf "no catalog row %s" id)
+      expected
   in
-  let sunos = find "rexmt/sunos-4.1.3" in
-  let solaris = find "rexmt/solaris-2.3" in
-  Alcotest.(check bool)
-    "SunOS row fails under the Solaris stack" false
-    sunos.Conformance.res_pass;
-  Alcotest.(check bool)
-    "Solaris row still passes" true solaris.Conformance.res_pass;
-  let failing =
-    List.filter_map
-      (fun c ->
-        if c.Conformance.ck_pass then None else Some c.Conformance.ck_label)
-      sunos.Conformance.res_checks
-  in
-  Alcotest.(check (list string))
-    "exactly the vendor-discriminating checks fail"
-    [ "retransmissions before giving up"; "backoff ceiling";
-      "failure action" ]
-    failing
+  let rep = Conformance.run ~profile_override:"solaris-2.3" rows in
+  List.iter2
+    (fun (id, failing) (r : Conformance.result) ->
+      Alcotest.(check bool)
+        (id ^ (if failing = [] then " still passes" else " fails under Solaris"))
+        (failing = []) r.Conformance.res_pass;
+      Alcotest.(check (list string))
+        (id ^ ": exactly the vendor-discriminating checks fail")
+        failing
+        (List.filter_map
+           (fun c ->
+             if c.Conformance.ck_pass then None
+             else Some c.Conformance.ck_label)
+           r.Conformance.res_checks))
+    expected rep.Conformance.rep_results
 
 let test_unknown_override () =
   Alcotest.check_raises "unknown profile is rejected"

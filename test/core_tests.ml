@@ -438,6 +438,21 @@ let test_timing_model () =
   Alcotest.(check bool) "delayed ~2s" true
     Vtime.(!arrival >= Vtime.sec 2 && !arrival < Vtime.ms 2100)
 
+(* layered models all act: a message the timing model delays must then
+   face the omission model installed after it *)
+let test_layered_models () =
+  let sim, _net, a, b = setup () in
+  Failure_models.apply a.pfi (Failure_models.Timing { mean = 1.0; std = 0.0 });
+  Failure_models.apply a.pfi (Failure_models.Send_omission { p = 1.0 });
+  for _ = 1 to 20 do
+    send a ~dst:"b" "x"
+  done;
+  Sim.run sim;
+  Alcotest.(check (list string)) "nothing delivered" [] (received_texts b);
+  let st = Pfi_layer.send_stats a.pfi in
+  Alcotest.(check int) "all delayed" 20 st.Pfi_layer.delayed;
+  Alcotest.(check int) "then all omitted" 20 st.Pfi_layer.dropped
+
 let test_byzantine_duplicates () =
   let sim, _net, a, b = setup () in
   Failure_models.apply a.pfi
@@ -549,4 +564,5 @@ let suite =
     Alcotest.test_case "verdict tracing" `Quick test_verdict_tracing;
     Alcotest.test_case "stats snapshot" `Quick test_stats_snapshot;
     Alcotest.test_case "script errors fail loudly" `Quick test_script_error_fails_loudly;
+    Alcotest.test_case "layered failure models all act" `Quick test_layered_models;
   ]

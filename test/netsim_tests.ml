@@ -129,7 +129,7 @@ let test_msc_in_flight_unplug_marks_lost () =
      unplugged while it was on the wire — the delivery outcome is only
      known when the wire event fires *)
   let sim, net, ep = setup () in
-  Network.set_msc_enabled net true;
+  Sim.set_want_labels sim true;
   Network.set_latency net ~src:"a" ~dst:"b" (Vtime.ms 100);
   send (ep "a") ~dst:"b" "doomed";
   ignore (Sim.schedule sim ~delay:(Vtime.ms 50) (fun () -> Network.unplug net "b"));
@@ -147,7 +147,7 @@ let test_msc_events_in_send_order () =
   (* deliveries are recorded when they land; the ladder must still read
      in send order even when a later message overtakes an earlier one *)
   let sim, net, ep = setup () in
-  Network.set_msc_enabled net true;
+  Sim.set_want_labels sim true;
   Network.set_latency net ~src:"a" ~dst:"b" (Vtime.ms 100);
   Network.set_latency net ~src:"a" ~dst:"c" (Vtime.ms 10);
   send (ep "a") ~dst:"b" "slow";

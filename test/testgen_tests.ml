@@ -88,7 +88,7 @@ let test_abp_stub () =
 
 let test_msc_events () =
   let p = abp_pair () in
-  Network.set_msc_enabled p.net true;
+  Sim.set_want_labels p.sim true;
   Abp.send p.a "hello";
   Sim.run ~until:(Vtime.sec 10) p.sim;
   let events = Msc.events (Sim.trace p.sim) in
@@ -104,7 +104,7 @@ let test_msc_events () =
 
 let test_msc_drop_marked () =
   let p = abp_pair () in
-  Network.set_msc_enabled p.net true;
+  Sim.set_want_labels p.sim true;
   Network.block p.net ~src:"a" ~dst:"b";
   Abp.send p.a "lost";
   Sim.run ~until:(Vtime.ms 100) p.sim;
@@ -115,7 +115,7 @@ let test_msc_drop_marked () =
 
 let test_msc_render_two_nodes () =
   let p = abp_pair () in
-  Network.set_msc_enabled p.net true;
+  Sim.set_want_labels p.sim true;
   Abp.send p.a "ping";
   Sim.run ~until:(Vtime.sec 5) p.sim;
   let out =
