@@ -29,7 +29,6 @@
    same thing everywhere they appear. *)
 
 open Cmdliner
-open Pfi_experiments
 
 (* ------------------------------------------------------------------ *)
 (* The common option-spec table                                       *)
@@ -293,37 +292,33 @@ let help_cmd =
 (* Paper artifacts                                                    *)
 (* ------------------------------------------------------------------ *)
 
-(* Every TCP artifact is a view over sections of the conformance
-   catalog (Pfi_testgen.Conformance), so each number it shows is a
-   re-measured cell next to the paper's value; the GMP tables still
-   come from their own experiment module. *)
-type artifact =
-  | Catalog of string list  (** conformance sections, in report order *)
-  | Table of (unit -> Report.t)
-
+(* Every artifact is a view over sections of the conformance catalog
+   (Pfi_testgen.Conformance), in report order, so each number it shows
+   is a re-measured cell next to the paper's value. *)
 let artifacts =
-  [ ("table1", "TCP retransmission timeouts", Catalog [ "rexmt" ]);
+  [ ("table1", "TCP retransmission timeouts", [ "rexmt" ]);
     ( "table2",
       "TCP RTO with delayed ACKs",
-      Catalog [ "counter"; "rto-delay-3s"; "rto-delay-8s"; "counter-probe" ] );
+      [ "counter"; "rto-delay-3s"; "rto-delay-8s"; "counter-probe" ] );
     ( "figure4",
       "retransmission timeout series",
-      Catalog [ "rexmt"; "rto-delay-3s"; "rto-delay-8s" ] );
-    ("table3", "TCP keep-alive", Catalog [ "keepalive"; "keepalive-acked" ]);
+      [ "rexmt"; "rto-delay-3s"; "rto-delay-8s" ] );
+    ("table3", "TCP keep-alive", [ "keepalive"; "keepalive-acked" ]);
     ( "table4",
       "TCP zero-window probes",
-      Catalog [ "zerowin"; "zerowin-dropped"; "zerowin-outage" ] );
-    ("exp5", "TCP reordering", Catalog [ "reorder" ]);
-    ("table5", "GMP packet interruption", Table Gmp_experiments.table5);
-    ("table6", "GMP network partitions", Table Gmp_experiments.table6);
-    ("table7", "GMP proclaim forwarding", Table Gmp_experiments.table7);
-    ("table8", "GMP timer test", Table Gmp_experiments.table8);
-    ( "ablation-karn",
-      "ablation: Karn sampling on/off",
-      Catalog [ "ablation-karn" ] );
+      [ "zerowin"; "zerowin-dropped"; "zerowin-outage" ] );
+    ("exp5", "TCP reordering", [ "reorder" ]);
+    ( "table5",
+      "GMP packet interruption",
+      [ "gmp-self-death"; "gmp-kick-cycle"; "gmp-ack-drop"; "gmp-commit-drop" ]
+    );
+    ("table6", "GMP network partitions", [ "gmp-partition"; "gmp-separation" ]);
+    ("table7", "GMP proclaim forwarding", [ "gmp-proclaim" ]);
+    ("table8", "GMP timer test", [ "gmp-timer" ]);
+    ("ablation-karn", "ablation: Karn sampling on/off", [ "ablation-karn" ]);
     ( "ablation-counter",
       "ablation: retry accounting policy",
-      Catalog [ "ablation-counter" ] ) ]
+      [ "ablation-counter" ] ) ]
 
 let json_str s = Pfi_testgen.Repro.Json.Str s
 let json_print tree = print_endline (Pfi_testgen.Repro.Json.to_string tree)
@@ -400,34 +395,23 @@ let with_trace_capture trace_out f =
         close_out oc)
       (fun () -> f flush)
 
-let apply_default_seed seed =
-  match seed with
-  | Some s -> Pfi_engine.Sim.set_default_seed s
-  | None -> ()
-
 let run_one ~json ~flush ~seed name =
   match List.find_opt (fun (n, _, _) -> n = name) artifacts with
   | None ->
     Printf.eprintf "unknown artifact %S (try `pfi_run list`)\n" name;
     exit 1
-  | Some (_, desc, artifact) ->
+  | Some (_, desc, sections) ->
     if not json then Printf.printf "== %s: %s ==\n%!" name desc;
-    (match artifact with
-     | Catalog sections ->
-       let open Pfi_testgen in
-       let rep =
-         Conformance.run ?seed
-           (List.filter
-              (fun r -> List.mem (Conformance.row_section r) sections)
-              (Conformance.catalog ()))
-       in
-       flush [ ("artifact", name) ];
-       if json then json_print (Conformance.to_json rep)
-       else print_string (Conformance.to_markdown rep)
-     | Table gen ->
-       let t = gen () in
-       flush [ ("artifact", name) ];
-       if json then print_endline (Report.to_json t) else Report.print t)
+    let open Pfi_testgen in
+    let rep =
+      Conformance.run ?seed
+        (List.filter
+           (fun r -> List.mem (Conformance.row_section r) sections)
+           (Conformance.catalog ()))
+    in
+    flush [ ("artifact", name) ];
+    if json then json_print (Conformance.to_json rep)
+    else print_string (Conformance.to_markdown rep)
 
 let run_cmd =
   let doc = "Regenerate one or more paper artifacts (or `all`)." in
@@ -435,7 +419,6 @@ let run_cmd =
     Arg.(non_empty & pos_all string [] & info [] ~docv:"ARTIFACT")
   in
   let run names json trace_out seed =
-    apply_default_seed seed;
     let names =
       if List.mem "all" names then List.map (fun (n, _, _) -> n) artifacts
       else names
@@ -451,7 +434,7 @@ let run_cmd =
 (* A REPL over the filter scripting language, with a sample TCP segment
    bound as cur_msg so msg_* commands can be explored interactively. *)
 let repl seed =
-  apply_default_seed seed;
+  Option.iter Pfi_engine.Sim.set_default_seed seed;
   let open Pfi_engine in
   let open Pfi_stack in
   let sim = Sim.create () in

@@ -96,6 +96,13 @@ let connect layers =
         layers)
     layers
 
+let peer t node =
+  if String.equal node t.node_name then t
+  else
+    match Hashtbl.find_opt t.peers node with
+    | Some p -> p
+    | None -> invalid_arg ("Pfi_layer.peer: not connected to node " ^ node)
+
 (* ------------------------------------------------------------------ *)
 (* Message continuation                                               *)
 (* ------------------------------------------------------------------ *)

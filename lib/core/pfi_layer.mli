@@ -46,6 +46,12 @@ val connect : t list -> unit
 (** Makes the given layers visible to each other's scripts by node name
     ([node_set]/[node_get] commands). *)
 
+val peer : t -> string -> t
+(** The layer on the named node: this one, or one {!connect} made
+    visible to it — how host code reaches a whole testbed from one
+    layer.  Raises [Invalid_argument] for a node it is not connected
+    to. *)
+
 (** {1 Filter scripts}
 
     Scripts are compiled once on installation.  Available commands

@@ -74,24 +74,15 @@ type t = {
       (* memoized "expect_<id>" timer names: one heartbeat receive per
          peer per interval would otherwise sprintf a fresh name each
          time *)
-  mutable history : view list;  (* reversed *)
 }
 
-let id t = t.self_id
 let node t = t.node_name
 let view t = t.current
-let phase t = t.ph
 let self_marked_down t = t.self_down
-let view_history t = List.rev t.history
 let layer t = match t.the_layer with Some l -> l | None -> assert false
 
 let is_leader t =
   t.ph = Normal && t.current.leader = t.self_id && not t.self_down
-
-let crown_prince t =
-  match t.current.members with
-  | _ :: prince :: _ -> Some prince
-  | _ -> None
 
 let name_of t peer_id = Hashtbl.find_opt t.names peer_id
 
@@ -168,6 +159,14 @@ let unset_expect_timers t =
   end
   else List.iter (disarm_timer t) armed_expects
 
+(* Entering IN_TRANSITION, recorded once the old group's timers are
+   unset: the [armed] field is the Table 8 snapshot ("no timers except
+   the membership change timer should be set"). *)
+let record_transition t detail =
+  Sim.record t.sim ~node:t.node_name ~tag:"gmp.transition"
+    ~fields:[ ("armed", String.concat " " (armed_timers t)) ]
+    detail
+
 (* ------------------------------------------------------------------ *)
 (* Message sending                                                    *)
 (* ------------------------------------------------------------------ *)
@@ -210,7 +209,6 @@ let rec adopt_view t ~group_id ~members =
   t.collecting <- None;
   t.pending_gid <- 0;
   t.pending_members <- [];
-  t.history <- t.current :: t.history;
   disarm_timer t "mc_wait";
   disarm_timer t "mc_collect";
   record t "gmp.view"
@@ -353,9 +351,6 @@ and initiate_mc t ~proposed =
   | [] | [ _ ] -> form_singleton t
   | _ ->
     let gid = fresh_gid t in
-    record t "gmp.transition"
-      (Printf.sprintf "leader initiating gid=%d proposed=[%s]" gid
-         (members_string proposed));
     t.ph <- In_transition;
     t.pending_gid <- gid;
     t.pending_members <- proposed;
@@ -366,6 +361,9 @@ and initiate_mc t ~proposed =
     disarm_timer t "proclaim";
     unset_expect_timers t;
     set_timer t "mc_collect" ~delay:t.config.mc_collect (fun () -> finish_collect t);
+    record_transition t
+      (Printf.sprintf "leader initiating gid=%d proposed=[%s]" gid
+         (members_string proposed));
     List.iter
       (fun m ->
         if m <> t.self_id then
@@ -508,9 +506,6 @@ and handle_message t (m : Gmp_msg.t) =
        && m.Gmp_msg.sender <> t.self_id
     then begin
       (* leave the old group and transition toward the new one *)
-      record t "gmp.transition"
-        (Printf.sprintf "member entering gid=%d proposed=[%s]" m.Gmp_msg.group_id
-           (members_string proposed));
       t.ph <- In_transition;
       t.self_down <- false;
       t.pending_gid <- m.Gmp_msg.group_id;
@@ -523,6 +518,9 @@ and handle_message t (m : Gmp_msg.t) =
       set_timer t "mc_wait" ~delay:t.config.mc_timeout (fun () ->
           record t "gmp.mc-timeout" "no COMMIT arrived; reverting to singleton";
           form_singleton t);
+      record_transition t
+        (Printf.sprintf "member entering gid=%d proposed=[%s]" m.Gmp_msg.group_id
+           (members_string proposed));
       send t ~dst_id:m.Gmp_msg.sender
         (Gmp_msg.make ~mtype:Gmp_msg.Mc_ack ~origin:t.self_id ~sender:t.self_id
            ~group_id:m.Gmp_msg.group_id ())
@@ -590,8 +588,7 @@ let create ~sim ~node ~id ~peers ?(config = default_config) () =
       ever_members = [ id ];
       timers = Hashtbl.create 16;
       callbacks = Hashtbl.create 16;
-      expect_names = Hashtbl.create 8;
-      history = [] }
+      expect_names = Hashtbl.create 8 }
   in
   let l =
     Layer.create ~name:"gmd" ~node

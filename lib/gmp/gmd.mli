@@ -55,8 +55,6 @@ type view = {
   leader : int;
 }
 
-type phase = Normal | In_transition
-
 type t
 
 val create :
@@ -85,29 +83,23 @@ val resume : t -> unit
 
 (** {1 Introspection} *)
 
-val id : t -> int
 val node : t -> string
 val view : t -> view
-val phase : t -> phase
-val is_leader : t -> bool
-val crown_prince : t -> int option
-(** Second-lowest member id, next in line for leadership. *)
 
 val self_marked_down : t -> bool
 (** True only in the buggy self-death state. *)
 
 val armed_timers : t -> string list
-(** Names of currently armed timers — what the Table 8 experiment
-    inspects ("no timers except the membership change timer should be
-    set"). *)
-
-val view_history : t -> view list
-(** Every view this daemon has committed, oldest first. *)
+(** Names of currently armed timers, sorted — what the Table 8
+    experiment inspects ("no timers except the membership change timer
+    should be set") through the [gmp.transition] trace entry's [armed]
+    field. *)
 
 (** {1 Trace tags}
 
     [gmp.view] committed view adoptions; [gmp.transition] entering
-    IN_TRANSITION; [gmp.singleton] singleton formation; [gmp.dead]
+    IN_TRANSITION, with field [armed] listing the timers still armed
+    once the old group's were unset (space-separated, sorted); [gmp.singleton] singleton formation; [gmp.dead]
     declaring a member dead; [gmp.self-dead] the buggy self-death;
     [gmp.proclaim-fwd] forwarding; [gmp.fwd-dropped] the silent
     forwarding failure; [gmp.spurious-timeout] an expect timer firing

@@ -1,6 +1,7 @@
 open Pfi_engine
 open Pfi_core
 open Pfi_tcp
+open Pfi_gmp
 
 type check = {
   ck_label : string;
@@ -10,21 +11,20 @@ type check = {
 }
 
 (* One catalog entry: the trial configuration (a fully-parameterized
-   tcp harness plus fault/script/side/horizon) and the oracle that
+   harness plus fault/script/side/horizon) and the oracle that
    re-measures the quirk from the trial trace.  The oracle closes over
-   the row's own vendor profile, so [run ~profile_override] keeps the
-   expectations while swapping the system under test. *)
+   the row's own variant (a TCP vendor profile, or a gmd bug flag), so
+   [run ~profile_override] keeps the expectations while swapping the
+   TCP stack under test. *)
 type row = {
   row_id : string;
   row_section : string;
-  row_profile : Profile.t;
+  row_vendor : string;  (** variant slug *)
+  row_name : string;  (** variant display name *)
   row_quirk : string;
-  cfg_phase : Tcp_harness.phase;
-  cfg_chunks : int;
-  cfg_every : Vtime.t;  (** send spacing of the harness workload *)
-  cfg_keepalive : bool;
-  cfg_server_reads : bool;
-  cfg_heal : bool;
+  row_harness : Profile.t option -> Harness_intf.packed;
+      (** the harness under the optional profile override: TCP rows
+          apply it, GMP rows ignore it *)
   cfg_side : Campaign.side;
   cfg_fault : Generator.fault;
   cfg_script : string option;  (** overrides the fault's filter *)
@@ -39,7 +39,7 @@ type row = {
 
 let row_id r = r.row_id
 let row_section r = r.row_section
-let row_vendor r = Profile.slug r.row_profile
+let row_vendor r = r.row_vendor
 
 (* ------------------------------------------------------------------ *)
 (* Trace measurement helpers                                          *)
@@ -584,6 +584,190 @@ let karn_oracle (p : Profile.t) _outcome trace =
       (inflated = Some (not p.Profile.karn_sampling)) ]
 
 (* ------------------------------------------------------------------ *)
+(* GMP oracles (paper Tables 5-8)                                     *)
+(* ------------------------------------------------------------------ *)
+
+(* a gmp.view detail reads "gid=G leader=L members=[1,2,3]" *)
+let view_members e =
+  match kv (Trace.detail e) "members" with
+  | Some m when String.length m >= 2 ->
+    String.sub m 1 (String.length m - 2)
+    |> String.split_on_char ','
+    |> List.filter_map int_of_string_opt
+  | _ -> []
+
+(* every view [node] committed, oldest first *)
+let views node trace =
+  List.map view_members (Trace.find ~node ~tag:"gmp.view" trace)
+
+(* the view [node] held just before [t]: the last one committed
+   strictly earlier *)
+let view_before node t trace =
+  List.fold_left
+    (fun acc e -> if Vtime.(e.Trace.time < t) then view_members e else acc)
+    [] (Trace.find ~node ~tag:"gmp.view" trace)
+
+let final_view node = view_before node Vtime.infinity
+
+let group ids = "{" ^ String.concat "," (List.map string_of_int ids) ^ "}"
+let yes_no b = if b then "yes" else "no"
+
+(* how often [member] left and re-entered [node]'s committed views *)
+let kicks_and_readmissions node ~member trace =
+  let rec go kicked readmitted = function
+    | a :: (b :: _ as rest) ->
+      go
+        (if a && not b then kicked + 1 else kicked)
+        (if b && not a then readmitted + 1 else readmitted)
+        rest
+    | _ -> (kicked, readmitted)
+  in
+  go 0 0 (List.map (List.mem member) (views node trace))
+
+(* Table 5, case 1: n3 drops its own heartbeats from 40 s on.  The
+   self-death bug marks itself down but stays in the old group, where
+   its proclaim forwarding is silently broken; fixed, it forms a
+   singleton.  [self_down] is set by gmp.self-dead and cleared by
+   gmp.singleton or gmp.transition, whichever came last *)
+let self_death_from = Vtime.sec 40
+
+let self_death_oracle ~bug _outcome trace =
+  let self_dead = Trace.count ~node:"n3" ~tag:"gmp.self-dead" trace in
+  let marked_down =
+    let last_of tag =
+      Option.map (fun e -> e.Trace.time) (Trace.last ~node:"n3" ~tag trace)
+    in
+    match last_of "gmp.self-dead" with
+    | None -> false
+    | Some dead ->
+      List.for_all
+        (fun tag ->
+          match last_of tag with Some t -> Vtime.(t < dead) | None -> true)
+        [ "gmp.singleton"; "gmp.transition" ]
+  in
+  let final = final_view "n3" trace in
+  let in_old_group = marked_down && List.length final > 1 in
+  let state =
+    (if marked_down then "marked down in " else "not marked down, in ")
+    ^ group final
+  in
+  let singleton_after =
+    List.exists
+      (fun e -> Vtime.(e.Trace.time > self_death_from))
+      (Trace.find ~node:"n3" ~tag:"gmp.singleton" trace)
+  in
+  if bug then
+    [ check_at_least "self-death announcements" ~floor:1 ~measured:self_dead;
+      check_bound "state at the horizon" ~paper:"in the old group, marked down"
+        ~measured:state in_old_group;
+      check_at_least "proclaims lost in the broken forwarder" ~floor:1
+        ~measured:(Trace.count ~node:"n3" ~tag:"gmp.fwd-dropped" trace) ]
+  else
+    [ check_int "self-death announcements" ~paper:0 ~measured:self_dead;
+      check "singleton formed after the fault" ~paper:"yes"
+        ~measured:(yes_no singleton_after);
+      check_bound "state at the horizon" ~paper:"not marked down"
+        ~measured:state (not marked_down) ]
+
+(* Table 5, case 2: n3 drops its heartbeats to the others in 35 s
+   bursts, so the leader's views drop and re-admit it in a cycle *)
+let kick_cycle_oracle _outcome trace =
+  let kicked, readmitted = kicks_and_readmissions "n1" ~member:3 trace in
+  [ check_at_least "times n3 was kicked out" ~floor:2 ~measured:kicked;
+    check_at_least "times n3 was re-admitted" ~floor:2 ~measured:readmitted ]
+
+(* Table 5, case 3: the leader drops every ACK from n3, so n3's
+   MEMBERSHIP_CHANGE waits time out and it never gets in *)
+let ack_drop_oracle _outcome trace =
+  [ check "n3 in a committed leader view" ~paper:"never"
+      ~measured:
+        (if List.exists (List.mem 3) (views "n1" trace) then "yes" else "never");
+    check_at_least "join attempts ending in mc-timeout" ~floor:2
+      ~measured:(Trace.count ~node:"n3" ~tag:"gmp.mc-timeout" trace) ]
+
+(* Table 5, case 4: n3 drops every COMMIT, so the others commit it, hear
+   no heartbeats from it (it is still IN_TRANSITION) and kick it out,
+   while it cycles back to a singleton on its MC timer *)
+let commit_drop_oracle _outcome trace =
+  let kicked, _ = kicks_and_readmissions "n1" ~member:3 trace in
+  [ check "committed into the leader's view" ~paper:"yes"
+      ~measured:(yes_no (List.exists (List.mem 3) (views "n1" trace)));
+    check_at_least "times kicked out for silence" ~floor:1 ~measured:kicked;
+    check "n3 adopted a multi-member view" ~paper:"never"
+      ~measured:
+        (if List.for_all (fun v -> v = [ 3 ]) (views "n3" trace) then "never"
+         else "yes");
+    check_at_least "MC-timer reversions to a singleton" ~floor:1
+      ~measured:(Trace.count ~node:"n3" ~tag:"gmp.mc-timeout" trace) ]
+
+(* Table 6, case 1: {n1,n2,n3} and {n4,n5} stop talking at 60 s, talk
+   again at 160 s and split again at 260 s; the views of n1 and n4 are
+   read just before each phase ends *)
+let partition_oracle _outcome trace =
+  let views_at t =
+    let at = Vtime.sec t in
+    group (view_before "n1" at trace) ^ " and " ^ group (view_before "n4" at trace)
+  in
+  let split = "{1,2,3} and {4,5}" and merged = "{1,2,3,4,5} and {1,2,3,4,5}" in
+  [ check "views of n1 and n4 during the split (155 s)" ~paper:split
+      ~measured:(views_at 155);
+    check "views of n1 and n4 after the heal (255 s)" ~paper:merged
+      ~measured:(views_at 255);
+    check "views of n1 and n4 in the second split (355 s)" ~paper:split
+      ~measured:(views_at 355) ]
+
+(* Table 6, case 2: from 60 s the leader and the crown prince drop each
+   other's messages; either event order ends the same way *)
+let separation_oracle _outcome trace =
+  [ check "leader's final group" ~paper:"{1,3,4,5}"
+      ~measured:(group (final_view "n1" trace));
+    check "crown prince's final group" ~paper:"{2}"
+      ~measured:(group (final_view "n2" trace)) ]
+
+(* Table 7: n3 starts late and its PROCLAIMs to the leader are dropped,
+   so n2 forwards them.  The buggy leader answers the forwarder, which
+   bounces the answer back: a proclaim loop *)
+let proclaim_oracle ~bug _outcome trace =
+  let forwards = Trace.count ~node:"n2" ~tag:"gmp.proclaim-fwd" trace in
+  let admitted = List.mem 3 (final_view "n1" trace) in
+  if bug then
+    [ check_bound "proclaim forwards by n2" ~paper:"over 20 (a loop)"
+        ~measured:(string_of_int forwards) (forwards > 20);
+      check "originator admitted" ~paper:"no" ~measured:(yes_no admitted) ]
+  else
+    [ check_bound "proclaim forwards by n2" ~paper:"20 or fewer (no loop)"
+        ~measured:(string_of_int forwards) (forwards <= 20);
+      check "originator admitted" ~paper:"yes" ~measured:(yes_no admitted) ]
+
+(* Table 8: n2 drops COMMITs and heartbeats once it has seen a second
+   MEMBERSHIP_CHANGE (n3 joining at 30 s).  The timers armed as it
+   entered IN_TRANSITION are the gmp.transition entry's [armed] field;
+   with the inverted unset a heartbeat-expect timer stays armed and
+   fires while n2 waits for the COMMIT *)
+let timer_oracle ~bug _outcome trace =
+  let armed =
+    List.find_map
+      (fun e ->
+        if Vtime.(e.Trace.time >= Gmp_harness.late_start) then
+          List.assoc_opt "armed" e.Trace.fields
+        else None)
+      (Trace.find ~node:"n2" ~tag:"gmp.transition" trace)
+  in
+  let measured = Option.value armed ~default:"no transition" in
+  let spurious = Trace.count ~node:"n2" ~tag:"gmp.spurious-timeout" trace in
+  if bug then
+    [ check_bound "timers armed entering IN_TRANSITION"
+        ~paper:"an expect timer besides mc_wait" ~measured
+        (List.exists
+           (String.starts_with ~prefix:"expect_")
+           (String.split_on_char ' ' measured));
+      check_at_least "spurious expect-timer firings" ~floor:1
+        ~measured:spurious ]
+  else
+    [ check "timers armed entering IN_TRANSITION" ~paper:"mc_wait" ~measured;
+      check_int "spurious expect-timer firings" ~paper:0 ~measured:spurious ]
+
+(* ------------------------------------------------------------------ *)
 (* The catalog                                                        *)
 (* ------------------------------------------------------------------ *)
 
@@ -696,6 +880,49 @@ let sections =
           "The counter probe on Solaris 2.3 with its global error counter \
            on and off: with it m1's six timeouts are charged against m2, \
            without it m2 gets the full budget." } ]
+  @ List.map
+      (fun (sec_key, sec_title, sec_blurb) -> { sec_key; sec_title; sec_blurb })
+      [ ( "gmp-self-death",
+          "GMP: heartbeats to the local machine dropped (paper Table 5)",
+          "Three gmd daemons (n1..n3; the lowest id leads) each run over a \
+           reliable-UDP layer with a PFI layer beneath it.  From 40 s n3's \
+           send filter drops the heartbeats it sends to itself, so its own \
+           expect timer fires: the paper's \"gmd believed it had died\"." );
+        ( "gmp-kick-cycle",
+          "GMP: heartbeats to the other members dropped (paper Table 5)",
+          "From 20 s n3's send filter drops its heartbeats to the others in \
+           alternating 35 s windows; the leader's committed views show n3 \
+           kicked out and re-admitted." );
+        ( "gmp-ack-drop",
+          "GMP: MEMBERSHIP_CHANGE ACKs dropped (paper Table 5)",
+          "n3 starts at 30 s, after n1 and n2 have formed a group.  The \
+           leader's receive filter drops every ACK from n3." );
+        ( "gmp-commit-drop",
+          "GMP: COMMITs dropped (paper Table 5)",
+          "n3 starts at 30 s and its receive filter drops every COMMIT, so \
+           it never leaves IN_TRANSITION for the views the others commit." );
+        ( "gmp-partition",
+          "GMP: partition oscillation (paper Table 6)",
+          "Five daemons.  Every send filter drops messages addressed to the \
+           other side of {n1,n2,n3} and {n4,n5} while a blackboard flag is \
+           set: from 60 s, cleared at 160 s, set again at 260 s.  The views \
+           of n1 and n4 are read just before each phase ends." );
+        ( "gmp-separation",
+          "GMP: leader/crown-prince separation (paper Table 6)",
+          "Five daemons.  From 60 s n1 (the leader) and n2 (the crown \
+           prince) drop every message addressed to each other." );
+        ( "gmp-proclaim",
+          "GMP: proclaim forwarding (paper Table 7)",
+          "n3 starts at 30 s and its send filter drops its PROCLAIMs to the \
+           leader, so n2 forwards them.  The buggy leader replies to the \
+           forwarder instead of the originator; the bug row runs 45 s, the \
+           fixed row 120 s." );
+        ( "gmp-timer",
+          "GMP: timer test (paper Table 8)",
+          "n3 starts at 30 s.  Once n2 has seen a second MEMBERSHIP_CHANGE, \
+           its receive filter drops COMMITs and heartbeats, holding it \
+           IN_TRANSITION.  The timers still armed as it entered are the \
+           `armed` field of its `gmp.transition` trace entry." ) ]
 
 let plural n = if n = 1 then "" else "s"
 
@@ -714,14 +941,14 @@ let mk ~section ~(p : Profile.t) ~quirk ?(phase = Tcp_harness.Stream)
     ?script ?arm ~horizon ~oracle fault =
   { row_id = section ^ "/" ^ Profile.slug p;
     row_section = section;
-    row_profile = p;
+    row_vendor = Profile.slug p;
+    row_name = p.Profile.name;
     row_quirk = quirk;
-    cfg_phase = phase;
-    cfg_chunks = chunks;
-    cfg_every = every;
-    cfg_keepalive = keepalive;
-    cfg_server_reads = server_reads;
-    cfg_heal = heal;
+    row_harness =
+      (fun override ->
+        Tcp_harness.harness ~chunk_count:chunks ~every
+          ~profile:(Option.value override ~default:p)
+          ~phase ~keepalive ~server_reads ~heal ());
     cfg_side = side;
     cfg_fault = fault;
     cfg_script = script;
@@ -944,11 +1171,194 @@ let karn_row (p : Profile.t) =
     ~horizon:(Vtime.minutes 4) ~oracle:karn_oracle
     (Generator.Drop_fraction ("DATA", 0.25))
 
+(* GMP rows: the gmd variant is the row's "vendor"; every fault stays
+   in place for the whole run (no heal) *)
+let fixed = ("fixed", "gmd (fixed)")
+
+let gmp_mk ~section ~variant:(slug, name) ~quirk ?(n = 3) ?late
+    ?(bugs = Gmd.no_bugs) ?(side = Campaign.Send_filter) ?(script = "") ?arm
+    ~horizon ~oracle fault =
+  { row_id = section ^ "/" ^ slug;
+    row_section = section;
+    row_vendor = slug;
+    row_name = name;
+    row_quirk = quirk;
+    row_harness = (fun _ -> Gmp_harness.harness ~n ?late ~heal:false ~bugs ());
+    cfg_side = side;
+    cfg_fault = fault;
+    cfg_script = Some script;
+    cfg_arm = arm;
+    cfg_horizon = horizon;
+    row_oracle = oracle }
+
+(* the arm hook is handed n1's layer; the others are its peers *)
+let send_filter node script pfi =
+  Pfi_layer.set_send_filter (Pfi_layer.peer pfi node) script
+
+let receive_filter node script pfi =
+  Pfi_layer.set_receive_filter (Pfi_layer.peer pfi node) script
+
+let drop_self_heartbeats =
+  {|
+if {[msg_type cur_msg] == "HEARTBEAT" && [msg_attr cur_msg net.dst] == $pfi_node} {
+  xDrop cur_msg
+}
+|}
+
+let self_death_row ~bug =
+  gmp_mk ~section:"gmp-self-death"
+    ~variant:(if bug then ("bug", "gmd (bug: self-death)") else fixed)
+    ~quirk:
+      (if bug then
+         "declares itself dead but stays in the old group marked down; its \
+          proclaim forwarding silently fails"
+       else "forms a singleton and rejoins")
+    ~bugs:{ Gmd.no_bugs with Gmd.self_death = bug }
+    ~arm:(at self_death_from (send_filter "n3" drop_self_heartbeats))
+    ~horizon:(Vtime.sec 180) ~oracle:(self_death_oracle ~bug)
+    (Generator.Drop_all "HEARTBEAT")
+
+(* ~35 s dropping n3's heartbeats to the others, ~35 s not *)
+let oscillating_drop =
+  {|
+if {[msg_type cur_msg] == "HEARTBEAT" && [msg_attr cur_msg net.dst] != $pfi_node} {
+  set phase [expr {int([now] / 35) % 2}]
+  if {$phase == 1} { xDrop cur_msg }
+}
+|}
+
+let kick_cycle_row =
+  gmp_mk ~section:"gmp-kick-cycle" ~variant:fixed
+    ~quirk:"kicked out, re-admitted, kicked out again: a cycle"
+    ~arm:(at (Vtime.sec 20) (send_filter "n3" oscillating_drop))
+    ~horizon:(Vtime.sec 400) ~oracle:kick_cycle_oracle
+    (Generator.Drop_fraction ("HEARTBEAT", 0.5))
+
+let ack_drop_row =
+  gmp_mk ~section:"gmp-ack-drop" ~variant:fixed
+    ~quirk:"never admitted; each attempt times out and proclaims again"
+    ~late:[ "n3" ] ~side:Campaign.Receive_filter
+    ~script:
+      {|
+if {[msg_type cur_msg] == "ACK" && [msg_attr cur_msg net.src] == "n3"} {
+  xDrop cur_msg
+}
+|}
+    ~horizon:(Vtime.sec 300) ~oracle:ack_drop_oracle (Generator.Drop_all "ACK")
+
+let commit_drop_row =
+  gmp_mk ~section:"gmp-commit-drop" ~variant:fixed
+    ~quirk:"committed by the others, kicked out for silence, cycles on its \
+            MC timer"
+    ~late:[ "n3" ]
+    ~arm:(fun _sim pfi ->
+        receive_filter "n3"
+          {|if {[msg_type cur_msg] == "COMMIT"} { xDrop cur_msg }|} pfi)
+    ~horizon:(Vtime.sec 300) ~oracle:commit_drop_oracle
+    (Generator.Drop_all "COMMIT")
+
+(* the paper drops on destination address in the send filter *)
+let split_filter other_side =
+  Printf.sprintf
+    {|
+if {[bb_get split 0] == 1} {
+  set dst [msg_attr cur_msg net.dst]
+  if {[lsearch {%s} $dst] >= 0} { xDrop cur_msg }
+}
+|}
+    (String.concat " " other_side)
+
+let split_phases = [ (60, true); (160, false); (260, true) ]
+
+let partition_row =
+  let side_a = [ "n1"; "n2"; "n3" ] and side_b = [ "n4"; "n5" ] in
+  gmp_mk ~section:"gmp-partition" ~variant:fixed
+    ~quirk:"two disjoint groups; one group after the heal; the cycle repeats"
+    ~n:5
+    ~arm:(fun sim pfi ->
+        List.iter (fun node -> send_filter node (split_filter side_b) pfi)
+          side_a;
+        List.iter (fun node -> send_filter node (split_filter side_a) pfi)
+          side_b;
+        List.iter
+          (fun (t, split) ->
+            at (Vtime.sec t)
+              (fun pfi ->
+                Blackboard.set (Pfi_layer.blackboard pfi) "split"
+                  (if split then "1" else "0"))
+              sim pfi)
+          split_phases)
+    ~horizon:(Vtime.sec 360) ~oracle:partition_oracle
+    (Generator.Drop_all "HEARTBEAT")
+
+let block_dst dst =
+  Printf.sprintf {|if {[msg_attr cur_msg net.dst] == "%s"} { xDrop cur_msg }|}
+    dst
+
+let separation_row =
+  gmp_mk ~section:"gmp-separation" ~variant:fixed
+    ~quirk:"the leader keeps everyone but the crown prince, who ends alone"
+    ~n:5
+    ~arm:
+      (at (Vtime.sec 60) (fun pfi ->
+           send_filter "n1" (block_dst "n2") pfi;
+           send_filter "n2" (block_dst "n1") pfi))
+    ~horizon:(Vtime.sec 400) ~oracle:separation_oracle
+    (Generator.Drop_all "HEARTBEAT")
+
+let proclaim_row ~bug =
+  gmp_mk ~section:"gmp-proclaim"
+    ~variant:(if bug then ("bug", "gmd (bug: reply to sender)") else fixed)
+    ~quirk:
+      (if bug then "the leader answers the forwarder: a proclaim loop"
+       else "the leader answers the originator, who is admitted")
+    ~late:[ "n3" ]
+    ~bugs:{ Gmd.no_bugs with Gmd.proclaim_reply_to_sender = bug }
+    ~arm:(fun _sim pfi ->
+        send_filter "n3"
+          {|
+if {[msg_type cur_msg] == "PROCLAIM" && [msg_attr cur_msg net.dst] == "n1"} {
+  xDrop cur_msg
+}
+|}
+          pfi)
+    (* a short horizon under the bug: the loop floods messages *)
+    ~horizon:(Vtime.sec (if bug then 45 else 120))
+    ~oracle:(proclaim_oracle ~bug) (Generator.Drop_all "PROCLAIM")
+
+let second_mc_drop =
+  {|
+set t [msg_type cur_msg]
+if {$t == "MEMBERSHIP_CHANGE"} {
+  set n [expr {[bb_get mc_seen 0] + 1}]
+  bb_set mc_seen $n
+  if {$n >= 2} { bb_set dropping 1 }
+}
+if {[bb_get dropping 0] == 1 && ($t == "COMMIT" || $t == "HEARTBEAT")} {
+  xDrop cur_msg
+}
+|}
+
+let timer_row ~bug =
+  gmp_mk ~section:"gmp-timer"
+    ~variant:(if bug then ("bug", "gmd (bug: inverted timer unset)") else fixed)
+    ~quirk:
+      (if bug then
+         "a heartbeat-expect timer stays armed IN_TRANSITION and fires"
+       else "only the membership-change timer is armed IN_TRANSITION")
+    ~late:[ "n3" ]
+    ~bugs:{ Gmd.no_bugs with Gmd.timer_unset_inverted = bug }
+    ~arm:(fun _sim pfi -> receive_filter "n2" second_mc_drop pfi)
+    ~horizon:(Vtime.sec 60) ~oracle:(timer_oracle ~bug)
+    (Generator.Drop_all "COMMIT")
+
 let counter_profile global_error_counter =
   { Profile.solaris_23 with
     Profile.name =
       (if global_error_counter then "global counter" else "per-segment counter");
     global_error_counter }
+
+let bug_and_fixed row = List.map (fun bug -> row ~bug) [ true; false ]
 
 let catalog () =
   List.concat_map
@@ -966,6 +1376,11 @@ let catalog () =
   @ List.map
       (counter_probe_row ~section:"ablation-counter")
       [ counter_profile true; counter_profile false ]
+  @ bug_and_fixed self_death_row
+  @ [ kick_cycle_row; ack_drop_row; commit_drop_row; partition_row;
+      separation_row ]
+  @ bug_and_fixed proclaim_row
+  @ bug_and_fixed timer_row
 
 let golden_catalog () =
   [ rexmt_row Profile.sunos_413; rexmt_row Profile.solaris_23 ]
@@ -1004,14 +1419,8 @@ let row_seed ~seed row =
     (fnv64 row.row_id)
 
 let trial ~seed ~override row =
-  let profile = Option.value override ~default:row.row_profile in
-  let harness =
-    Tcp_harness.harness ~chunk_count:row.cfg_chunks ~every:row.cfg_every
-      ~profile ~phase:row.cfg_phase ~keepalive:row.cfg_keepalive
-      ~server_reads:row.cfg_server_reads ~heal:row.cfg_heal ()
-  in
   let outcome =
-    Campaign.run_trial harness ~side:row.cfg_side ~horizon:row.cfg_horizon
+    Campaign.run_trial (row.row_harness override) ~side:row.cfg_side ~horizon:row.cfg_horizon
       ~seed:(row_seed ~seed row) ~capture_trace:true ?script:row.cfg_script
       ?arm:row.cfg_arm row.cfg_fault
   in
@@ -1022,6 +1431,10 @@ let trial ~seed ~override row =
 let trial_trace ?(seed = Campaign.default_seed) row =
   snd (trial ~seed ~override:None row)
 
+let check_against ?(seed = Campaign.default_seed) row ~trial_of =
+  let outcome, trace = trial ~seed ~override:None trial_of in
+  row.row_oracle outcome trace
+
 let find id = List.find_opt (fun r -> r.row_id = id) (catalog ())
 
 let run_row ~seed ~override row =
@@ -1030,7 +1443,7 @@ let run_row ~seed ~override row =
   let checks = row.row_oracle outcome trace in
   { res_id = row.row_id;
     res_section = row.row_section;
-    res_vendor = row.row_profile.Profile.name;
+    res_vendor = row.row_name;
     res_quirk = row.row_quirk;
     res_seed;
     res_checks = checks;
@@ -1072,13 +1485,13 @@ let check_counts rep =
 let to_markdown rep =
   let b = Buffer.create 8192 in
   let add fmt = Printf.ksprintf (Buffer.add_string b) fmt in
-  add "# TCP vendor conformance matrix\n\n";
+  add "# Conformance catalog: the paper's TCP and GMP experiments\n\n";
   add
-    "Re-discovers the paper's vendor quirk tables from traces: each row \
-     below runs one\nfault-injection trial against one vendor profile and \
-     measures the quirk from the\nrecorded trace alone (the service \
-     verdict is ignored — most quirks only manifest\nwhile the service \
-     guarantee is failing).\n\n";
+    "Re-discovers the paper's TCP quirk tables and GMP bug tables from \
+     traces: each row\nbelow runs one fault-injection trial against one \
+     variant (a TCP vendor profile or a\ngmd build) and measures the quirk \
+     from the recorded trace alone (the service\nverdict is ignored — most \
+     quirks only manifest while the service guarantee is\nfailing).\n\n";
   add
     "Regenerate with `pfi_run matrix --report <file>`.  Campaign seed %Ld; \
      the report\nis byte-identical for any `--jobs` width.\n\n"

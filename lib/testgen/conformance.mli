@@ -1,5 +1,5 @@
-(** The vendor conformance matrix: re-discovering the paper's TCP
-    quirk tables from traces.
+(** The conformance catalog: re-discovering the paper's TCP quirk
+    tables and GMP bug tables from traces.
 
     The paper's central claim is that script-driven fault injection
     below an unmodified transport re-discovers each vendor's
@@ -16,8 +16,10 @@
     because most quirks only manifest while the service guarantee is
     being violated.  Beyond the quirk tables the catalog carries the
     rest of the paper's TCP experiments (Table 2, Figure 4, Experiment
-    5) and two ablations, so every TCP artifact [pfi_run run] prints is
-    a set of catalog sections.
+    5), two ablations, and the GMP experiments of Tables 5–8 over
+    {!Gmp_harness}'s Figure 5 testbed — with a bug row and a fixed row
+    where the paper has both — so every artifact [pfi_run run] prints
+    is a set of catalog sections.
 
     {!run} executes a catalog through {!Campaign.run_trial} on any
     {!Executor.t}; per-row seeds are pure functions of the campaign
@@ -39,11 +41,12 @@ type check = {
 
 type row
 (** One catalog entry: a trial configuration plus the trace oracle
-    that re-measures the vendor quirk.  Oracles bake in the {e row}
-    vendor's expected values, so running a row against a different
-    profile ({!run}'s [profile_override]) makes its checks fail — the
-    negative control that proves the matrix actually discriminates
-    between vendors. *)
+    that re-measures the quirk.  Oracles bake in the {e row} variant's
+    expected values, so running a TCP row against a different profile
+    ({!run}'s [profile_override]) or a GMP bug row against the fixed
+    daemon ({!check_against}) makes its checks fail — the negative
+    control that proves the catalog actually discriminates between
+    variants. *)
 
 val row_id : row -> string
 (** Stable identifier, ["SECTION/VENDOR-SLUG"] (e.g.
@@ -57,11 +60,16 @@ val row_section : row -> string
     (Table 2 and Figure 4), ["counter-probe"] (the §4.1 35 s
     probe), ["keepalive-acked"] (Table 3), ["zerowin-dropped"],
     ["zerowin-outage"] (Table 4), ["reorder"] (Experiment 5).  The
-    ablations: ["ablation-karn"], ["ablation-counter"]. *)
+    ablations: ["ablation-karn"], ["ablation-counter"].  The GMP
+    tables: ["gmp-self-death"], ["gmp-kick-cycle"], ["gmp-ack-drop"],
+    ["gmp-commit-drop"] (Table 5), ["gmp-partition"],
+    ["gmp-separation"] (Table 6), ["gmp-proclaim"] (Table 7),
+    ["gmp-timer"] (Table 8). *)
 
 val row_vendor : row -> string
-(** The vendor profile's {!Pfi_tcp.Profile.slug}.  Ablation rows run
-    custom profiles (e.g. ["karn-off"]). *)
+(** The variant slug: a TCP row's {!Pfi_tcp.Profile.slug} (ablation
+    rows run custom profiles, e.g. ["karn-off"]), or a GMP row's
+    ["bug"] (one of the paper's gmd bugs implanted) or ["fixed"]. *)
 
 val catalog : unit -> row list
 (** Every row, in report order: the six vendor-matrix sections crossed
@@ -83,7 +91,8 @@ val golden_catalog : unit -> row list
 type result = {
   res_id : string;
   res_section : string;
-  res_vendor : string;  (** display name, e.g. ["SunOS 4.1.3"] *)
+  res_vendor : string;
+      (** display name, e.g. ["SunOS 4.1.3"] or ["gmd (fixed)"] *)
   res_quirk : string;  (** one-line statement of the quirk under test *)
   res_seed : int64;  (** the derived per-row trial seed *)
   res_checks : check list;
@@ -103,15 +112,21 @@ val run :
     capture, maps rows through the executor (default
     {!Executor.sequential}), and evaluates each row's oracle over its
     trace.  [seed] defaults to {!Campaign.default_seed}.
-    [profile_override] builds every harness with the named profile
+    [profile_override] builds every TCP harness with the named profile
     ({!Pfi_tcp.Profile.find} name or slug) {e while keeping each row's
-    own expectations} — the wrong-knob negative control.  Raises
+    own expectations} — the wrong-knob negative control; GMP rows
+    ignore it.  Raises
     [Invalid_argument] on an unknown override name. *)
 
 val trial_trace : ?seed:int64 -> row -> Pfi_engine.Trace.t
 (** Runs one row's trial exactly as {!run} does (same derived seed,
     no profile override) and returns its trace — [pfi_run msc] draws
     the §4.1 ladder from the Solaris [counter-probe] row. *)
+
+val check_against : ?seed:int64 -> row -> trial_of:row -> check list
+(** [row]'s oracle over the trial {!run} gives [trial_of] — the GMP
+    negative control, where a bug row's expectations must fail against
+    the fixed daemon's trial and vice versa. *)
 
 val passed : report -> int
 (** Rows whose every check passed. *)

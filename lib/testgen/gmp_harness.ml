@@ -1,20 +1,23 @@
 open Pfi_engine
 open Pfi_stack
 open Pfi_netsim
+open Pfi_core
 open Pfi_gmp
 
 type env = {
   sim : Sim.t;
-  pfi : Pfi_core.Pfi_layer.t;  (* on n1: the faulty participant *)
+  pfi : Pfi_layer.t;  (* on n1: the faulty participant *)
   gmds : Gmd.t list;
   n : int;
 }
 
 let default_horizon = Vtime.sec 450
 let fault_clear_at = Vtime.sec 300
+let late_start = Vtime.sec 30
 let default_seed = 57L
 
-let harness ?(bugs = Gmd.no_bugs) () : Harness_intf.packed =
+let harness ?(n = 3) ?(late = []) ?(heal = true) ?(bugs = Gmd.no_bugs) () :
+    Harness_intf.packed =
   (module struct
     type nonrec env = env
 
@@ -29,35 +32,35 @@ let harness ?(bugs = Gmd.no_bugs) () : Harness_intf.packed =
     let default_horizon = default_horizon
     let default_seed = default_seed
 
-    let n = 3
     let config = { Gmd.default_config with Gmd.bugs }
 
+    (* the paper's Figure 5 testbed: a PFI layer under every daemon's
+       reliable layer, all connected and sharing one blackboard.  n1's
+       layer is the first to split the sim's RNG, so scripts on it draw
+       the same stream whatever [n] is *)
     let build ?scratch ~seed () =
       let sim = Sim.create ?scratch ~seed () in
       let net = Network.create sim in
+      let blackboard = Blackboard.create () in
       let names = List.init n (fun i -> (Printf.sprintf "n%d" (i + 1), i + 1)) in
-      let pfi_ref = ref None in
-      let gmds =
+      let nodes =
         List.map
           (fun (name, node_id) ->
             let peers = List.filter (fun (m, _) -> m <> name) names in
             let gmd = Gmd.create ~sim ~node:name ~id:node_id ~peers ~config () in
             let rel = Rel_udp.create ~sim ~node:name () in
             let device = Network.attach net ~node:name in
-            if node_id = 1 then begin
-              let pfi =
-                Pfi_core.Pfi_layer.create ~sim ~node:name ~stub:Gmp_stub.stub ()
-              in
-              pfi_ref := Some pfi;
-              Layer.stack
-                [ Gmd.layer gmd; Rel_udp.layer rel;
-                  Pfi_core.Pfi_layer.layer pfi; device ]
-            end
-            else Layer.stack [ Gmd.layer gmd; Rel_udp.layer rel; device ];
-            gmd)
+            let pfi =
+              Pfi_layer.create ~sim ~node:name ~stub:Gmp_stub.stub ~blackboard ()
+            in
+            Layer.stack
+              [ Gmd.layer gmd; Rel_udp.layer rel; Pfi_layer.layer pfi; device ];
+            (gmd, pfi))
           names
       in
-      { sim; pfi = Option.get !pfi_ref; gmds; n }
+      let pfis = List.map snd nodes in
+      Pfi_layer.connect pfis;
+      { sim; pfi = List.hd pfis; gmds = List.map fst nodes; n }
 
     let sim env = env.sim
     let pfi env = env.pfi
@@ -65,14 +68,17 @@ let harness ?(bugs = Gmd.no_bugs) () : Harness_intf.packed =
     let workload env =
       List.iteri
         (fun i gmd ->
-          ignore
-            (Sim.schedule env.sim ~delay:(Vtime.sec i) (fun () -> Gmd.start gmd)))
+          let delay =
+            if List.mem (Gmd.node gmd) late then late_start else Vtime.sec i
+          in
+          ignore (Sim.schedule env.sim ~delay (fun () -> Gmd.start gmd)))
         env.gmds;
       (* the fault window is transient: heal and let the group re-form *)
-      ignore
-        (Sim.schedule env.sim ~delay:fault_clear_at (fun () ->
-             Pfi_core.Pfi_layer.clear_send_filter env.pfi;
-             Pfi_core.Pfi_layer.clear_receive_filter env.pfi))
+      if heal then
+        ignore
+          (Sim.schedule env.sim ~delay:fault_clear_at (fun () ->
+               Pfi_layer.clear_send_filter env.pfi;
+               Pfi_layer.clear_receive_filter env.pfi))
 
     (* the trace-level guarantees, stated as oracles rather than ad-hoc
        Trace.count arithmetic: no spurious IN_TRANSITION timer may ever

@@ -1,8 +1,11 @@
 (** A campaign harness for the group membership protocol.
 
-    Topology: [n1..n3] daemons (the PFI layer under [n1]'s reliable
-    layer carries the generated fault scripts).  The fault window is
-    transient — scripts are cleared two-thirds into the horizon — so a
+    Topology: the paper's Figure 5 testbed — [n1..nN] daemons, each
+    running gmd / reliable UDP / PFI / device, with every PFI layer
+    connected to the others and sharing one blackboard.  [n1]'s layer
+    carries the generated fault scripts; the others are reached from it
+    with {!Pfi_core.Pfi_layer.peer}.  The fault window is transient —
+    [n1]'s scripts are cleared two-thirds into the horizon — so a
     correct implementation must re-converge.
 
     Oracle (the protocol's specification, §4.2):
@@ -16,12 +19,19 @@
     fault-free control trial, for the proclaim loop) rediscovers the
     paper's implanted defects. *)
 
-val harness : ?bugs:Pfi_gmp.Gmd.bugs -> unit -> Harness_intf.packed
+val harness :
+  ?n:int -> ?late:string list -> ?heal:bool -> ?bugs:Pfi_gmp.Gmd.bugs ->
+  unit -> Harness_intf.packed
 (** A packed {!Harness_intf.HARNESS}: registry name ["gmp"] (or
     ["gmp-buggy"] with any bug implanted), spec {!Spec.gmp}, target
-    ["n2"]. *)
+    ["n2"].  [n] daemons (default 3) start one second apart, except the
+    [late] ones (default none), which start at {!late_start}.  [heal]
+    (default true) clears [n1]'s filters at 300 s. *)
 
 val default_horizon : Pfi_engine.Vtime.t
+
+val late_start : Pfi_engine.Vtime.t
+(** When the harness's [late] daemons start (30 s). *)
 
 val default_seed : int64
 (** The GMP campaign seed (57) — kept distinct from

@@ -3,7 +3,7 @@ open Pfi_engine
 (* ------------------------------------------------------------------ *)
 (* A minimal JSON tree, writer and parser.                            *)
 (*                                                                    *)
-(* The repo's JSON output (Trace, Report) is writer-only; repro       *)
+(* The repo's other JSON output (Trace) is writer-only; repro         *)
 (* artifacts are the first thing we *read back*, so this module       *)
 (* carries its own recursive-descent parser.  Deliberately small:     *)
 (* objects keep field order (assoc list), numbers split into Int and  *)

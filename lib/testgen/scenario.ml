@@ -99,7 +99,12 @@ let parse_duration ~line tok =
     | "h" -> 3_600_000_000.0
     | _ -> err line tok "unknown duration unit (use us|ms|s|m|h)"
   in
-  Vtime.us (int_of_float (v *. mult_us))
+  let us = v *. mult_us in
+  (* int_of_float of an out-of-range float is unspecified (it gave 0),
+     which silently turned an absurd horizon into a zero-length run *)
+  if not (us < Float.of_int max_int) then
+    err line tok "duration too large (the clock counts microseconds in an int)";
+  Vtime.us (int_of_float us)
 
 let parse_int ~line tok =
   match int_of_string_opt tok with

@@ -38,15 +38,19 @@ let test_catalog_shape () =
   in
   Alcotest.(check int) "6 sections x 4 vendors" 24
     (List.length (List.concat_map in_section matrix_sections));
-  (* the rest of the paper's TCP experiments and the ablations *)
+  (* the rest of the paper's experiments and the ablations *)
   List.iter
     (fun (section, n) ->
       Alcotest.(check int) (section ^ " rows") n
         (List.length (in_section section)))
     [ ("rto-delay-3s", 4); ("rto-delay-8s", 4); ("counter-probe", 4);
       ("keepalive-acked", 4); ("zerowin-dropped", 4); ("zerowin-outage", 1);
-      ("reorder", 4); ("ablation-karn", 2); ("ablation-counter", 2) ];
-  Alcotest.(check int) "no other rows" 53 (List.length rows);
+      ("reorder", 4); ("ablation-karn", 2); ("ablation-counter", 2);
+      (* the GMP tables: bug and fixed rows where the paper has both *)
+      ("gmp-self-death", 2); ("gmp-kick-cycle", 1); ("gmp-ack-drop", 1);
+      ("gmp-commit-drop", 1); ("gmp-partition", 1); ("gmp-separation", 1);
+      ("gmp-proclaim", 2); ("gmp-timer", 2) ];
+  Alcotest.(check int) "no other rows" 64 (List.length rows);
   let ids = List.map Conformance.row_id rows in
   Alcotest.(check int)
     "row ids are unique" (List.length ids)

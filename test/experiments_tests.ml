@@ -4,20 +4,20 @@
 open Pfi_experiments
 open Pfi_testgen
 
-(* --- TCP artifacts: named conformance-catalog checks ---------------- *)
+(* --- Paper artifacts: named conformance-catalog checks -------------- *)
 
-(* The TCP tables, Figure 4, Experiment 5 and the ablations are rows of
-   the conformance catalog, whose committed rendering
+(* Every paper table, Figure 4, Experiment 5 and the ablations are rows
+   of the conformance catalog, whose committed rendering
    (EXPERIMENTS_tcp.md) pins every measured value.  Each test below
    names the catalog rows and checks that carry one group of the
    paper's findings: the rows run, and each named check must exist and
    pass. *)
+let row id =
+  match Conformance.find id with
+  | Some r -> r
+  | None -> Alcotest.failf "no catalog row %s" id
+
 let catalog_checks expected () =
-  let row id =
-    match Conformance.find id with
-    | Some r -> r
-    | None -> Alcotest.failf "no catalog row %s" id
-  in
   let rep = Conformance.run (List.map (fun (id, _) -> row id) expected) in
   List.iter2
     (fun (id, labels) (res : Conformance.result) ->
@@ -99,95 +99,74 @@ let tcp_checks =
       rows "ablation-counter" [ "global-counter"; "per-segment-counter" ]
         [ "m2 retransmissions before the connection dropped" ] ) ]
 
-(* --- Table 5 ------------------------------------------------------- *)
+(* The GMP tables are catalog rows over the Figure 5 testbed
+   (Gmp_harness): a bug row and a fixed row where the paper has both. *)
+let gmp_checks =
+  [ ( "table5: self-death bug",
+      [ ( "gmp-self-death/bug",
+          [ "self-death announcements"; "state at the horizon";
+            "proclaims lost in the broken forwarder" ] );
+        ( "gmp-self-death/fixed",
+          [ "self-death announcements"; "singleton formed after the fault";
+            "state at the horizon" ] ) ] );
+    ( "table5: kick/rejoin cycle",
+      [ ( "gmp-kick-cycle/fixed",
+          [ "times n3 was kicked out"; "times n3 was re-admitted" ] ) ] );
+    ( "table5: ACK drop",
+      [ ( "gmp-ack-drop/fixed",
+          [ "n3 in a committed leader view";
+            "join attempts ending in mc-timeout" ] ) ] );
+    ( "table5: COMMIT drop",
+      [ ( "gmp-commit-drop/fixed",
+          [ "committed into the leader's view"; "times kicked out for silence";
+            "n3 adopted a multi-member view";
+            "MC-timer reversions to a singleton" ] ) ] );
+    ( "table6: partition oscillation",
+      [ ( "gmp-partition/fixed",
+          [ "views of n1 and n4 during the split (155 s)";
+            "views of n1 and n4 after the heal (255 s)";
+            "views of n1 and n4 in the second split (355 s)" ] ) ] );
+    ( "table6: leader/crown-prince",
+      [ ( "gmp-separation/fixed",
+          [ "leader's final group"; "crown prince's final group" ] ) ] );
+    ( "table7: proclaim forwarding",
+      [ ("gmp-proclaim/bug", [ "proclaim forwards by n2"; "originator admitted" ]);
+        ( "gmp-proclaim/fixed",
+          [ "proclaim forwards by n2"; "originator admitted" ] ) ] );
+    ( "table8: timer test",
+      [ ( "gmp-timer/bug",
+          [ "timers armed entering IN_TRANSITION";
+            "spurious expect-timer firings" ] );
+        ( "gmp-timer/fixed",
+          [ "timers armed entering IN_TRANSITION";
+            "spurious expect-timer firings" ] ) ] ) ]
 
-let test_table5_self_death () =
-  let bug = Gmp_experiments.self_heartbeat_drop ~bugs:true in
-  Alcotest.(check bool) "declared itself dead" true (bug.Gmp_experiments.self_dead_events >= 1);
-  Alcotest.(check bool) "stuck in old group marked down" true
-    bug.Gmp_experiments.marked_down_not_singleton;
-  Alcotest.(check bool) "forwarding silently broken" true
-    (bug.Gmp_experiments.forwarding_drops >= 1);
-  let fixed = Gmp_experiments.self_heartbeat_drop ~bugs:false in
-  Alcotest.(check bool) "fixed: singleton formed" true fixed.Gmp_experiments.formed_singleton;
-  Alcotest.(check bool) "fixed: no broken state" false
-    fixed.Gmp_experiments.marked_down_not_singleton
-
-let test_table5_kick_cycle () =
-  let m = Gmp_experiments.other_heartbeat_drop () in
-  Alcotest.(check bool) "kicked repeatedly" true (m.Gmp_experiments.kicked >= 2);
-  Alcotest.(check bool) "readmitted repeatedly" true (m.Gmp_experiments.readmitted >= 2)
-
-let test_table5_ack_drop () =
-  let m = Gmp_experiments.mc_ack_drop () in
-  Alcotest.(check bool) "never admitted" false m.Gmp_experiments.ever_admitted;
-  Alcotest.(check bool) "kept trying" true (m.Gmp_experiments.join_attempts >= 2)
-
-let test_table5_commit_drop () =
-  let m = Gmp_experiments.commit_drop () in
-  Alcotest.(check bool) "others committed it" true
-    m.Gmp_experiments.briefly_committed_by_others;
-  Alcotest.(check bool) "kicked for silence" true m.Gmp_experiments.kicked_after_silence;
-  Alcotest.(check bool) "victim cycles in transition" true
-    m.Gmp_experiments.victim_stuck_then_cycled
-
-(* --- Table 6 ------------------------------------------------------- *)
-
-let test_table6_partition () =
-  let m = Gmp_experiments.partition_oscillation () in
-  Alcotest.(check bool) "disjoint groups during split" true m.Gmp_experiments.split_views_ok;
-  Alcotest.(check bool) "merged after heal" true m.Gmp_experiments.merged_after_heal;
-  Alcotest.(check bool) "cycle repeats" true m.Gmp_experiments.second_split_ok
-
-let test_table6_separation () =
-  let m = Gmp_experiments.leader_crown_prince_separation () in
-  Alcotest.(check (list int)) "leader group excludes crown prince" [ 1; 3; 4; 5 ]
-    m.Gmp_experiments.final_leader_group;
-  Alcotest.(check bool) "crown prince isolated" true
-    m.Gmp_experiments.crown_prince_isolated
-
-(* --- Table 7 ------------------------------------------------------- *)
-
-let test_table7 () =
-  let bug = Gmp_experiments.proclaim_forwarding ~bugs:true in
-  Alcotest.(check bool) "loop detected" true bug.Gmp_experiments.loop_detected;
-  Alcotest.(check bool) "never admitted under the bug" false
-    bug.Gmp_experiments.originator_admitted;
-  let fixed = Gmp_experiments.proclaim_forwarding ~bugs:false in
-  Alcotest.(check bool) "no loop after fix" false fixed.Gmp_experiments.loop_detected;
-  Alcotest.(check bool) "admitted after fix" true
-    fixed.Gmp_experiments.originator_admitted
-
-(* --- Table 8 ------------------------------------------------------- *)
-
-let test_table8 () =
-  let bug = Gmp_experiments.timer_test ~bugs:true in
-  Alcotest.(check bool) "spurious timeout under the bug" true
-    (bug.Gmp_experiments.spurious_timeouts >= 1);
-  Alcotest.(check bool) "extra timers armed in transition" true
-    (List.exists
-       (fun name -> String.length name > 7 && String.sub name 0 7 = "expect_")
-       bug.Gmp_experiments.timers_seen_in_transition);
-  let fixed = Gmp_experiments.timer_test ~bugs:false in
-  Alcotest.(check int) "no spurious timeouts after fix" 0
-    fixed.Gmp_experiments.spurious_timeouts;
-  Alcotest.(check (list string)) "only the MC timer armed" [ "mc_wait" ]
-    fixed.Gmp_experiments.timers_seen_in_transition
-
-(* --- JSON rendering ------------------------------------------------ *)
-
-let test_report_to_json () =
-  let table =
-    Report.make ~id:"Table 0" ~title:{|quote " and \ slash|}
-      ~header:[ "a"; "b" ]
-      ~notes:[ "note
-with newline" ]
-      [ [ "r1c1"; "r1c2" ]; [ "r2c1"; "r2c2" ] ]
+(* The GMP negative control: in each bug/fixed pair the named checks
+   pass on their own row (asserted by the table test) and fail when
+   that row's expectations are run against the other variant's trial. *)
+let test_gmp_negative_control () =
+  let fails_against (expect_id, labels) ~trial_of =
+    let checks = Conformance.check_against (row expect_id) ~trial_of:(row trial_of) in
+    List.iter
+      (fun label ->
+        match List.find_opt (fun c -> c.Conformance.ck_label = label) checks with
+        | None -> Alcotest.failf "%s has no check %S" expect_id label
+        | Some c ->
+          Alcotest.(check bool)
+            (Printf.sprintf "%s: %s against %s (paper %s, measured %s)"
+               expect_id label trial_of c.Conformance.ck_paper
+               c.Conformance.ck_measured)
+            false c.Conformance.ck_pass)
+      labels
   in
-  Alcotest.(check string) "escaped, self-contained object"
-    ({|{"id":"Table 0","title":"quote \" and \\ slash","header":["a","b"],|}
-    ^ {|"rows":[["r1c1","r1c2"],["r2c1","r2c2"]],"notes":["note\nwith newline"]}|})
-    (Report.to_json table)
+  List.iter
+    (fun (_, expected) ->
+      match expected with
+      | [ ((bug_id, _) as bug); ((fixed_id, _) as fixed) ] ->
+        fails_against bug ~trial_of:fixed_id;
+        fails_against fixed ~trial_of:bug_id
+      | _ -> ())
+    gmp_checks
 
 (* the engine macro-benchmark is a pure function of seeds and code once
    wall-clock fields are stripped: two runs must serialise identically,
@@ -223,38 +202,40 @@ let test_engine_bench_deterministic () =
    | Ok _ -> ()
    | Error e -> Alcotest.failf "BENCH_engine.json does not parse: %s" e)
 
-(* a test's position is part of its printed id, so the TCP entries
+(* a test's position is part of its printed id, so the table entries
    keep their places in the suite *)
-let tcp name =
-  Alcotest.test_case name `Slow (catalog_checks (List.assoc name tcp_checks))
+let table name =
+  Alcotest.test_case name `Slow
+    (catalog_checks (List.assoc name (tcp_checks @ gmp_checks)))
 
 let suite =
   [
-    Alcotest.test_case "report to_json" `Quick test_report_to_json;
+    Alcotest.test_case "gmp bug/fixed rows discriminate" `Slow
+      test_gmp_negative_control;
     Alcotest.test_case "engine macro-benchmark is deterministic" `Slow
       test_engine_bench_deterministic;
-    tcp "table1: BSD vendors";
-    tcp "table1: Solaris";
-    tcp "table2: BSD adaptation (6.5/8/5 s)";
-    tcp "table2: 8 s delays";
-    tcp "table2: Solaris no adaptation";
-    tcp "table2: global counter 6+3";
-    tcp "figure4: backoff shape";
-    tcp "table3: BSD keepalive";
-    tcp "table3: Solaris keepalive";
-    tcp "table3: ACKed keepalive repeats";
-    tcp "table4: probe interval caps";
-    tcp "table4: probing is indefinite";
-    tcp "table4: two-day unplug";
-    tcp "exp5: all vendors queue";
-    Alcotest.test_case "table5: self-death bug" `Slow test_table5_self_death;
-    Alcotest.test_case "table5: kick/rejoin cycle" `Slow test_table5_kick_cycle;
-    Alcotest.test_case "table5: ACK drop" `Slow test_table5_ack_drop;
-    Alcotest.test_case "table5: COMMIT drop" `Slow test_table5_commit_drop;
-    Alcotest.test_case "table6: partition oscillation" `Slow test_table6_partition;
-    Alcotest.test_case "table6: leader/crown-prince" `Slow test_table6_separation;
-    Alcotest.test_case "table7: proclaim forwarding" `Slow test_table7;
-    Alcotest.test_case "table8: timer test" `Slow test_table8;
-    tcp "ablation: Karn sampling";
-    tcp "ablation: counter policy";
+    table "table1: BSD vendors";
+    table "table1: Solaris";
+    table "table2: BSD adaptation (6.5/8/5 s)";
+    table "table2: 8 s delays";
+    table "table2: Solaris no adaptation";
+    table "table2: global counter 6+3";
+    table "figure4: backoff shape";
+    table "table3: BSD keepalive";
+    table "table3: Solaris keepalive";
+    table "table3: ACKed keepalive repeats";
+    table "table4: probe interval caps";
+    table "table4: probing is indefinite";
+    table "table4: two-day unplug";
+    table "exp5: all vendors queue";
+    table "table5: self-death bug";
+    table "table5: kick/rejoin cycle";
+    table "table5: ACK drop";
+    table "table5: COMMIT drop";
+    table "table6: partition oscillation";
+    table "table6: leader/crown-prince";
+    table "table7: proclaim forwarding";
+    table "table8: timer test";
+    table "ablation: Karn sampling";
+    table "ablation: counter policy";
   ]

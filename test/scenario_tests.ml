@@ -270,6 +270,12 @@ let test_parse_errors () =
   check_parse_error ~line:1 ~token:"fault"
     "fault send drop_all MSG\nrun abp";
   check_parse_error ~line:2 ~token:"12parsecs" "run abp\nhorizon 12parsecs";
+  (* past the microsecond clock's range: this used to wrap to a
+     zero-length horizon, and the scenario then passed *)
+  check_parse_error ~line:2 ~token:"99999999999999999999s"
+    "run abp\nhorizon 99999999999999999999s";
+  check_parse_error ~line:2 ~token:"9999999999999h"
+    "run abp\nexpect tag=abp.deliver within 9999999999999h";
   check_parse_error ~line:2 ~token:"gravity" "run abp\nfault send gravity MSG";
   check_parse_error ~line:2 ~token:"NACK" "run abp\nfault send drop_all NACK";
   check_parse_error ~line:2 ~token:"MSG" "run abp\n@5s inject send MSG";
