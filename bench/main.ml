@@ -95,16 +95,26 @@ let bench_tcp_codec () =
       | Ok _ -> ()
       | Error e -> failwith e)
 
-let bench_gmp_codec () =
+(* the GMP message path's two codec halves, as the daemons and the
+   reliable layer run them per message: encode + rel wrap on send, rel
+   validation + payload copy + decode on receipt *)
+let gmp_bench_msg =
+  Pfi_gmp.Gmp_msg.make ~mtype:Pfi_gmp.Gmp_msg.Membership_change ~origin:1 ~sender:1
+    ~group_id:1000001 ~members:[ 1; 2; 3; 4; 5 ] ()
+
+let bench_gmp_send () =
   let open Pfi_gmp in
-  let m =
-    Gmp_msg.make ~mtype:Gmp_msg.Membership_change ~origin:1 ~sender:1
-      ~group_id:1000001 ~members:[ 1; 2; 3; 4; 5 ] ()
-  in
   Staged.stage (fun () ->
-      match Gmp_msg.decode (Gmp_msg.encode m) with
-      | Ok _ -> ()
-      | Error e -> failwith e)
+      ignore (Rel_udp.wrap ~kind:Rel_udp.kind_data ~seq:70_000 (Gmp_msg.encode gmp_bench_msg)))
+
+let bench_gmp_receive () =
+  let open Pfi_gmp in
+  let wire = Rel_udp.wrap ~kind:Rel_udp.kind_data ~seq:70_000 (Gmp_msg.encode gmp_bench_msg) in
+  Staged.stage (fun () ->
+      match Rel_udp.inspect wire with
+      | Some (_, _, inner) ->
+        (match Gmp_msg.decode inner with Ok _ -> () | Error e -> failwith e)
+      | None -> failwith "rel packet rejected")
 
 let bench_expr () =
   let interp = Pfi_script.Script.create () in
@@ -140,20 +150,6 @@ let bench_trace_indexed () =
   Staged.stage (fun () ->
       ignore (Pfi_engine.Trace.count ~node:"node1" ~tag:"tag13" trace);
       ignore (Pfi_engine.Trace.find ~node:"node1" ~tag:"tag13" trace))
-
-(* the pre-index implementation: materialise all entries and filter *)
-let bench_trace_scan () =
-  let trace = bench_trace () in
-  Staged.stage (fun () ->
-      let matches =
-        List.filter
-          (fun e ->
-            String.equal e.Pfi_engine.Trace.node "node1"
-            && String.equal e.Pfi_engine.Trace.tag "tag13")
-          (Pfi_engine.Trace.entries trace)
-      in
-      ignore (List.length matches);
-      ignore matches)
 
 (* the shrink machinery itself (no simulations): candidate-lattice
    enumeration for a compound fault, and a full greedy descent against a
@@ -214,11 +210,11 @@ let micro_tests () =
     Test.make ~name:"pfi traversal, no filter" (bench_pfi_traversal ~with_script:false ());
     Test.make ~name:"event queue push+pop" (bench_event_queue ());
     Test.make ~name:"tcp segment encode+decode" (bench_tcp_codec ());
-    Test.make ~name:"gmp message encode+decode" (bench_gmp_codec ());
+    Test.make ~name:"gmp: encode + rel wrap" (bench_gmp_send ());
+    Test.make ~name:"gmp: rel unwrap + decode" (bench_gmp_receive ());
     Test.make ~name:"expr evaluation" (bench_expr ());
     Test.make ~name:"simulator: 10 events scheduled+run" (bench_sim_events ());
     Test.make ~name:"trace query, indexed (50k entries)" (bench_trace_indexed ());
-    Test.make ~name:"trace query, legacy scan (50k entries)" (bench_trace_scan ());
     Test.make ~name:"shrink: candidate enumeration" (bench_shrink_candidates ());
     Test.make ~name:"shrink: full descent, synthetic oracle" (bench_shrink_descent ());
     Test.make ~name:"repro artifact json encode+decode" (bench_repro_roundtrip ()) ]

@@ -180,24 +180,22 @@ let stub =
     set_field =
       (fun msg field value ->
         match (decode (Message.payload msg), int_of_string_opt value) with
-        | Some (k, _, payload), Some v when field = "bit" ->
-          Message.set_payload msg (encode ~kind:k ~bit:(v land 1) payload);
+        | Some (k, _, payload), Some v when field = "bit" && Pfi_core.Stubs.fits ~max:1 v ->
+          Message.set_payload msg (encode ~kind:k ~bit:v payload);
           true
         | _ -> false);
     generate =
       (fun args ->
-        let bit =
-          match Option.bind (List.assoc_opt "bit" args) int_of_string_opt with
-          | Some b -> b land 1
-          | None -> 0
-        in
         let make kind payload =
-          let msg = Message.create (encode ~kind ~bit payload) in
-          Message.set_attr msg "proto" "abp";
-          (match List.assoc_opt "dst" args with
-           | Some dst -> Message.set_attr msg Pfi_netsim.Network.dst_attr dst
-           | None -> ());
-          Some msg
+          Option.map
+            (fun bit ->
+              let msg = Message.create (encode ~kind ~bit payload) in
+              Message.set_attr msg "proto" "abp";
+              (match List.assoc_opt "dst" args with
+               | Some dst -> Message.set_attr msg Pfi_netsim.Network.dst_attr dst
+               | None -> ());
+              msg)
+            (Pfi_core.Stubs.int_arg args "bit" ~max:1)
         in
         match List.assoc_opt "type" args with
         | Some "ACK" -> make kind_ack Bytes.empty

@@ -23,6 +23,16 @@ let raw =
         | None -> None);
     fields = (fun msg -> [ ("len", string_of_int (Message.length msg)) ]) }
 
+let u16_max = 0xffff
+let u32_max = 0xffffffff
+
+let fits ~max v = v >= 0 && v <= max
+
+let int_arg args key ~max =
+  match Option.bind (List.assoc_opt key args) int_of_string_opt with
+  | None -> Some 0
+  | Some v -> if fits ~max v then Some v else None
+
 let registry : (string, t) Hashtbl.t = Hashtbl.create 8
 
 let register stub = Hashtbl.replace registry stub.protocol stub

@@ -36,6 +36,22 @@ val raw : t
 (** Fallback stub for unknown protocols: type ["RAW"], hex description,
     no fields, generates from a ["data"] argument. *)
 
+(** {1 Field ranges}
+
+    A stub writes only values its header field can carry: [set_field]
+    returns false and [generate] returns None for anything outside the
+    field's unsigned wire range, instead of wrapping it. *)
+
+val u16_max : int
+val u32_max : int
+
+val fits : max:int -> int -> bool
+(** [v] is in [0, max]. *)
+
+val int_arg : (string * string) list -> string -> max:int -> int option
+(** A [generate] argument: [Some 0] when [key] is absent or not an
+    integer, [None] when it is an integer outside [0, max]. *)
+
 (** {1 Registry} *)
 
 val register : t -> unit

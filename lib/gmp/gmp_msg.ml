@@ -64,34 +64,74 @@ let mtype_of_code = function
   | 8 -> Some Dead
   | _ -> None
 
+(* Wire layout, big-endian at fixed offsets:
+   u8 type code, u16 origin, u16 sender, u32 group id, u16 subject,
+   u16 member count, then count × u16 members: 13 + 2·count bytes. *)
+let origin_offset = 1
+let sender_offset = 3
+let gid_offset = 5
+let subject_offset = 9
+let count_offset = 11
+let fixed_size = 13
+
+let wire_size ~count = fixed_size + (2 * count)
+
+let set_u16 b off v =
+  if v land lnot 0xffff <> 0 then
+    invalid_arg (Printf.sprintf "Gmp_msg.encode: %d is not a u16" v);
+  Bytes.set_uint16_be b off v
+
+let set_u32 b off v =
+  if v land lnot 0xffffffff <> 0 then
+    invalid_arg (Printf.sprintf "Gmp_msg.encode: %d is not a u32" v);
+  Bytes.set_uint16_be b off (v lsr 16);
+  Bytes.set_uint16_be b (off + 2) (v land 0xffff)
+
+let rec put_members b off = function
+  | [] -> ()
+  | m :: rest ->
+    set_u16 b off m;
+    put_members b (off + 2) rest
+
 let encode t =
-  let w = Bytes_codec.writer () in
-  Bytes_codec.u8 w (mtype_code t.mtype);
-  Bytes_codec.u16 w t.origin;
-  Bytes_codec.u16 w t.sender;
-  Bytes_codec.u32_of_int w t.group_id;
-  Bytes_codec.u16 w t.subject;
-  Bytes_codec.u16 w (List.length t.members);
-  List.iter (fun m -> Bytes_codec.u16 w m) t.members;
-  Bytes_codec.contents w
+  let count = List.length t.members in
+  let b = Bytes.create (wire_size ~count) in
+  Bytes.set_uint8 b 0 (mtype_code t.mtype);
+  set_u16 b origin_offset t.origin;
+  set_u16 b sender_offset t.sender;
+  set_u32 b gid_offset t.group_id;
+  set_u16 b subject_offset t.subject;
+  set_u16 b count_offset count;
+  put_members b fixed_size t.members;
+  b
+
+(* members [0..i] consed onto [acc], read back to front so the list
+   comes out in wire order without a reverse *)
+let rec get_members data i acc =
+  if i < 0 then acc
+  else get_members data (i - 1) (Bytes.get_uint16_be data (fixed_size + (2 * i)) :: acc)
 
 let decode data =
-  match
-    let r = Bytes_codec.reader data in
-    let code = Bytes_codec.read_u8 r in
-    let origin = Bytes_codec.read_u16 r in
-    let sender = Bytes_codec.read_u16 r in
-    let group_id = Bytes_codec.read_u32_int r in
-    let subject = Bytes_codec.read_u16 r in
-    let count = Bytes_codec.read_u16 r in
-    let members = List.init count (fun _ -> Bytes_codec.read_u16 r) in
-    (code, origin, sender, group_id, subject, members)
-  with
-  | exception Bytes_codec.Truncated _ -> Error "gmp: truncated message"
-  | code, origin, sender, group_id, subject, members ->
-    (match mtype_of_code code with
-     | None -> Error (Printf.sprintf "gmp: unknown message type %d" code)
-     | Some mtype -> Ok { mtype; origin; sender; group_id; subject; members })
+  let n = Bytes.length data in
+  if n < fixed_size then Error "gmp: truncated message"
+  else begin
+    let count = Bytes.get_uint16_be data count_offset in
+    if n < wire_size ~count then Error "gmp: truncated message"
+    else
+      let code = Bytes.get_uint8 data 0 in
+      match mtype_of_code code with
+      | None -> Error (Printf.sprintf "gmp: unknown message type %d" code)
+      | Some mtype ->
+        Ok
+          { mtype;
+            origin = Bytes.get_uint16_be data origin_offset;
+            sender = Bytes.get_uint16_be data sender_offset;
+            group_id =
+              (Bytes.get_uint16_be data gid_offset lsl 16)
+              lor Bytes.get_uint16_be data (gid_offset + 2);
+            subject = Bytes.get_uint16_be data subject_offset;
+            members = get_members data (count - 1) [] }
+  end
 
 let to_message t ~dst =
   let msg = Message.create (encode t) in

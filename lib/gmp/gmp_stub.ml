@@ -1,4 +1,5 @@
 open Pfi_stack
+open Pfi_core.Stubs
 
 let parse msg =
   match Rel_udp.inspect (Message.payload msg) with
@@ -12,8 +13,8 @@ let parse msg =
 (* Classification without decoding: [msg_type] runs on every message a
    fault filter inspects, so it validates the rel header in place and
    reads only the inner type code and member count instead of building
-   the full {!Gmp_msg.t}.  Accept/reject is exactly [parse]'s: the
-   checksum check mirrors {!Rel_udp.unwrap}, and the inner packet is
+   the full {!Gmp_msg.t}.  Accept/reject is exactly [parse]'s: both
+   validate through {!Rel_udp.inspect_header}, and the inner packet is
    typed only if {!Gmp_msg.decode} would succeed on it (fixed fields
    present, member list complete, known type code). *)
 let msg_type msg =
@@ -24,19 +25,14 @@ let msg_type msg =
     if kind = Rel_udp.kind_ack then "RACK"
     else if kind <> Rel_udp.kind_raw && kind <> Rel_udp.kind_data then "?"
     else begin
-      (* inner layout: u8 code, u16 origin, u16 sender, u32 gid,
-         u16 subject, u16 count, count × u16 members = 13 + 2·count *)
       let base = Rel_udp.header_size in
       let inner_len = Bytes.length data - base in
-      if inner_len < 13 then "?"
+      if inner_len < Gmp_msg.fixed_size then "?"
       else begin
-        let count =
-          (Char.code (Bytes.get data (base + 11)) lsl 8)
-          lor Char.code (Bytes.get data (base + 12))
-        in
-        if inner_len < 13 + (2 * count) then "?"
+        let count = Bytes.get_uint16_be data (base + Gmp_msg.count_offset) in
+        if inner_len < Gmp_msg.fixed_size + (2 * count) then "?"
         else
-          match Gmp_msg.mtype_of_code (Char.code (Bytes.get data base)) with
+          match Gmp_msg.mtype_of_code (Bytes.get_uint8 data base) with
           | Some mtype -> Gmp_msg.mtype_to_string mtype
           | None -> "?"
       end
@@ -73,10 +69,10 @@ let set_field msg field value =
   | `Gmp m, Some v ->
     let updated =
       match field with
-      | "origin" -> Some { m with Gmp_msg.origin = v }
-      | "sender" -> Some { m with Gmp_msg.sender = v }
-      | "gid" -> Some { m with Gmp_msg.group_id = v }
-      | "subject" -> Some { m with Gmp_msg.subject = v }
+      | "origin" when fits ~max:u16_max v -> Some { m with Gmp_msg.origin = v }
+      | "sender" when fits ~max:u16_max v -> Some { m with Gmp_msg.sender = v }
+      | "gid" when fits ~max:u32_max v -> Some { m with Gmp_msg.group_id = v }
+      | "subject" when fits ~max:u16_max v -> Some { m with Gmp_msg.subject = v }
       | _ -> None
     in
     (match updated with
@@ -87,35 +83,29 @@ let set_field msg field value =
   | _ -> false
 
 let generate args =
-  let int_arg key ~default =
-    match List.assoc_opt key args with
-    | Some v -> (match int_of_string_opt v with Some i -> i | None -> default)
-    | None -> default
+  let members =
+    match List.assoc_opt "members" args with
+    | None -> Some []
+    | Some s ->
+      let ids = List.filter_map int_of_string_opt (String.split_on_char ',' s) in
+      if List.for_all (fits ~max:u16_max) ids && fits ~max:u16_max (List.length ids)
+      then Some ids
+      else None
   in
-  match Option.bind (List.assoc_opt "type" args) Gmp_msg.mtype_of_string with
-  | None -> None
-  | Some mtype ->
-    let members =
-      match List.assoc_opt "members" args with
-      | Some s ->
-        String.split_on_char ',' s
-        |> List.filter_map int_of_string_opt
-      | None -> []
-    in
-    let m =
-      Gmp_msg.make ~mtype
-        ~origin:(int_arg "origin" ~default:0)
-        ~sender:(int_arg "sender" ~default:0)
-        ~group_id:(int_arg "gid" ~default:0)
-        ~subject:(int_arg "subject" ~default:0)
-        ~members ()
-    in
+  match
+    ( Option.bind (List.assoc_opt "type" args) Gmp_msg.mtype_of_string,
+      int_arg args "origin" ~max:u16_max, int_arg args "sender" ~max:u16_max,
+      int_arg args "gid" ~max:u32_max, int_arg args "subject" ~max:u16_max, members )
+  with
+  | Some mtype, Some origin, Some sender, Some group_id, Some subject, Some members ->
+    let m = Gmp_msg.make ~mtype ~origin ~sender ~group_id ~subject ~members () in
     let msg = Message.create (Rel_udp.wrap_raw (Gmp_msg.encode m)) in
     Message.set_attr msg "proto" "gmp";
     (match List.assoc_opt "dst" args with
      | Some dst -> Message.set_attr msg Pfi_netsim.Network.dst_attr dst
      | None -> ());
     Some msg
+  | _ -> None
 
 let fields msg =
   match parse msg with

@@ -31,77 +31,61 @@ type t = {
 
 let layer t = match t.the_layer with Some l -> l | None -> assert false
 
-(* 16-bit ones' complement over kind, seq and payload: the UDP checksum
-   this layer's real-world counterpart would have.  Corrupted packets
-   are dropped at unwrap, so fault-injected bit flips surface as loss,
-   not as garbage protocol input. *)
-let checksum ~kind ~seq payload =
-  let sum = ref (kind + (seq land 0xffff) + ((seq lsr 16) land 0xffff)) in
-  Bytes.iter (fun ch -> sum := !sum + Char.code ch) payload;
-  while !sum lsr 16 <> 0 do
-    sum := (!sum land 0xffff) + (!sum lsr 16)
-  done;
-  lnot !sum land 0xffff
+(* 16-bit ones' complement over kind, seq and the payload bytes
+   [data.[from..]]: the UDP checksum this layer's real-world counterpart
+   would have.  Corrupted packets are dropped on receipt, so
+   fault-injected bit flips surface as loss, not as garbage protocol
+   input. *)
+let rec fold16 sum = if sum lsr 16 = 0 then sum else fold16 ((sum land 0xffff) + (sum lsr 16))
+
+let rec add_bytes data i n sum =
+  if i >= n then sum else add_bytes data (i + 1) n (sum + Bytes.get_uint8 data i)
+
+let checksum ~kind ~seq data ~from =
+  let sum = kind + (seq land 0xffff) + ((seq lsr 16) land 0xffff) in
+  lnot (fold16 (add_bytes data from (Bytes.length data) sum)) land 0xffff
+
+(* Wire layout: u8 kind, u32 seq, u16 checksum, payload. *)
+let seq_offset = 1
+let checksum_offset = 5
 
 let wrap ~kind ~seq payload =
-  let w = Bytes_codec.writer () in
-  Bytes_codec.u8 w kind;
-  Bytes_codec.u32_of_int w seq;
-  Bytes_codec.u16 w (checksum ~kind ~seq payload);
-  Bytes_codec.bytes w payload;
-  Bytes_codec.contents w
+  let n = Bytes.length payload in
+  let b = Bytes.create (header_size + n) in
+  Bytes.set_uint8 b 0 kind;
+  Bytes.set_uint16_be b seq_offset ((seq lsr 16) land 0xffff);
+  Bytes.set_uint16_be b (seq_offset + 2) (seq land 0xffff);
+  Bytes.blit payload 0 b header_size n;
+  Bytes.set_uint16_be b checksum_offset (checksum ~kind ~seq b ~from:header_size);
+  b
 
-let unwrap data =
+(* The one validation path: length and checksum checked in place,
+   nothing copied out.  Returns the raw (kind, seq); the payload starts
+   at offset {!header_size}. *)
+let inspect_header data =
   if Bytes.length data < header_size then None
   else begin
-    let r = Bytes_codec.reader data in
-    let kind = Bytes_codec.read_u8 r in
-    let seq = Bytes_codec.read_u32_int r in
-    let csum = Bytes_codec.read_u16 r in
-    let payload = Bytes_codec.read_rest r in
-    if checksum ~kind ~seq payload <> csum then None
-    else Some (kind, seq, payload)
+    let kind = Bytes.get_uint8 data 0 in
+    let seq =
+      (Bytes.get_uint16_be data seq_offset lsl 16)
+      lor Bytes.get_uint16_be data (seq_offset + 2)
+    in
+    if checksum ~kind ~seq data ~from:header_size
+       <> Bytes.get_uint16_be data checksum_offset
+    then None
+    else Some (kind, seq)
   end
+
+let payload_of data = Bytes.sub data header_size (Bytes.length data - header_size)
 
 let inspect data =
-  match unwrap data with
+  match inspect_header data with
   | None -> None
-  | Some (kind, seq, inner) ->
-    if kind = kind_raw then Some (`Raw, seq, inner)
-    else if kind = kind_data then Some (`Data, seq, inner)
-    else if kind = kind_ack then Some (`Ack, seq, inner)
+  | Some (kind, seq) ->
+    if kind = kind_raw then Some (`Raw, seq, payload_of data)
+    else if kind = kind_data then Some (`Data, seq, payload_of data)
+    else if kind = kind_ack then Some (`Ack, seq, payload_of data)
     else None
-
-(* Zero-allocation header validation for classification hot paths
-   (stub [msg_type] runs on every filtered message): same length and
-   checksum acceptance as {!unwrap}, but the checksum runs over the
-   payload bytes in place and nothing is copied out.  Returns the raw
-   (kind, seq) — the caller classifies the kind and may read the inner
-   payload directly at offset {!header_size}. *)
-let inspect_header data =
-  let n = Bytes.length data in
-  if n < header_size then None
-  else begin
-    let kind = Char.code (Bytes.unsafe_get data 0) in
-    let seq =
-      (Char.code (Bytes.unsafe_get data 1) lsl 24)
-      lor (Char.code (Bytes.unsafe_get data 2) lsl 16)
-      lor (Char.code (Bytes.unsafe_get data 3) lsl 8)
-      lor Char.code (Bytes.unsafe_get data 4)
-    in
-    let csum =
-      (Char.code (Bytes.unsafe_get data 5) lsl 8)
-      lor Char.code (Bytes.unsafe_get data 6)
-    in
-    let sum = ref (kind + (seq land 0xffff) + ((seq lsr 16) land 0xffff)) in
-    for i = header_size to n - 1 do
-      sum := !sum + Char.code (Bytes.unsafe_get data i)
-    done;
-    while !sum lsr 16 <> 0 do
-      sum := (!sum land 0xffff) + (!sum lsr 16)
-    done;
-    if lnot !sum land 0xffff <> csum then None else Some (kind, seq)
-  end
 
 let wrap_raw payload = wrap ~kind:kind_raw ~seq:0 payload
 
@@ -145,7 +129,7 @@ let on_push t msg =
     let wire = wrap ~kind:kind_data ~seq (Message.payload msg) in
     let attrs = List.remove_assoc Pfi_netsim.Network.dst_attr (Message.attrs msg) in
     let timer =
-      Timer.create t.sim ~name:(Printf.sprintf "rel-%d" seq)
+      Timer.create t.sim ~name:"rel-retry"
         ~callback:(fun () -> on_retry t seq ())
     in
     let p = { seq; dst; wire; attrs; timer; tries = 0 } in
@@ -155,14 +139,15 @@ let on_push t msg =
   end
 
 let on_pop t msg =
-  match unwrap (Message.payload msg) with
+  let data = Message.payload msg in
+  match inspect_header data with
   | None -> ()  (* malformed: drop *)
-  | Some (kind, seq, inner) ->
+  | Some (kind, seq) ->
     let src =
       Option.value (Message.get_attr msg Pfi_netsim.Network.src_attr) ~default:"?"
     in
     if kind = kind_raw then begin
-      Message.set_payload msg inner;
+      Message.set_payload msg (payload_of data);
       Layer.deliver_up (layer t) msg
     end
     else if kind = kind_ack then begin
@@ -179,7 +164,7 @@ let on_pop t msg =
       Layer.send_down (layer t) ack;
       if not (Hashtbl.mem t.seen (src, seq)) then begin
         Hashtbl.replace t.seen (src, seq) ();
-        Message.set_payload msg inner;
+        Message.set_payload msg (payload_of data);
         Layer.deliver_up (layer t) msg
       end
     end

@@ -35,26 +35,31 @@ val layer : t -> Pfi_stack.Layer.t
 val reliable_attr : string
 (** ["rel"]: set to ["1"] on a message to request reliable delivery. *)
 
-val inspect : Bytes.t -> ([ `Raw | `Data | `Ack ] * int * Bytes.t) option
-(** Parses a rel-layer packet into (kind, seq, inner payload) without
-    consuming it — used by packet stubs that must look through the rel
-    header.  None on malformed input. *)
-
 val kind_raw : int
 val kind_data : int
 val kind_ack : int
-(** The wire kind bytes, for callers of {!inspect_header}. *)
+(** The wire kind bytes. *)
 
-val inspect_header : Bytes.t -> (int * int) option
-(** Zero-allocation variant of {!inspect} for classification hot
-    paths: validates the length and checksum in place (same acceptance
-    as {!inspect}) and returns the raw (kind, seq) without copying the
-    inner payload out.  The caller may read the payload directly at
-    offset {!header_size}.  None on malformed input. *)
+val wrap : kind:int -> seq:int -> Bytes.t -> Bytes.t
+(** One exact-size packet: the header, its checksum, then a copy of the
+    payload.  [seq] must fit in 32 bits. *)
 
 val wrap_raw : Bytes.t -> Bytes.t
-(** Wraps a payload as an unreliable (raw) rel packet — for stubs that
-    generate spontaneous messages below the reliable layer. *)
+(** [wrap ~kind:kind_raw ~seq:0] — for stubs that generate spontaneous
+    messages below the reliable layer. *)
+
+val inspect_header : Bytes.t -> (int * int) option
+(** The one validation path for received packets (the layer's own
+    receive side, {!inspect} and the GMP stub all use it): checks the
+    length and the checksum in place and returns the raw (kind, seq)
+    without copying anything.  The payload starts at offset
+    {!header_size}.  None on malformed input; an unknown kind with a
+    valid checksum is accepted here and left to the caller. *)
+
+val inspect : Bytes.t -> ([ `Raw | `Data | `Ack ] * int * Bytes.t) option
+(** {!inspect_header} plus a copy of the payload, for packet stubs that
+    must look through the rel header.  None on malformed input or an
+    unknown kind. *)
 
 val pending_count : t -> int
 (** Transmissions awaiting acknowledgement. *)

@@ -5,19 +5,25 @@ let dst_attr = "net.dst"
 let src_attr = "net.src"
 let broadcast = "*"
 
-type link_key = string * string
+(* Everything set on one directed link.  Links nobody configured share
+   [no_settings] and have no table entry. *)
+type link = {
+  latency : Vtime.t option;  (* None: the default latency *)
+  jitter : Vtime.t option;
+  loss : float option;
+  blocked : bool;
+}
+
+let no_settings = { latency = None; jitter = None; loss = None; blocked = false }
 
 type t = {
   sim : Sim.t;
   rng : Rng.t;
-  devices : (string, Layer.t) Hashtbl.t;
+  mutable devices : (string * Layer.t) list;  (* sorted by node name *)
   mutable default_latency : Vtime.t;
-  latencies : (link_key, Vtime.t) Hashtbl.t;
-  jitters : (link_key, Vtime.t) Hashtbl.t;
-  losses : (link_key, float) Hashtbl.t;
-  blocked : (link_key, unit) Hashtbl.t;
+  links : (string * string, link) Hashtbl.t;  (* by (src, dst) *)
   mutable groups : string list list option;  (* current partition *)
-  unplugged : (string, unit) Hashtbl.t;
+  mutable unplugged : string list;
   mutable sent : int;
   mutable delivered : int;
   mutable dropped : int;
@@ -27,14 +33,11 @@ type t = {
 let create ?(default_latency = Vtime.ms 1) sim =
   { sim;
     rng = Rng.split (Sim.rng sim);
-    devices = Hashtbl.create 16;
+    devices = [];
     default_latency;
-    latencies = Hashtbl.create 16;
-    jitters = Hashtbl.create 16;
-    losses = Hashtbl.create 16;
-    blocked = Hashtbl.create 16;
+    links = Hashtbl.create 16;
     groups = None;
-    unplugged = Hashtbl.create 8;
+    unplugged = [];
     sent = 0;
     delivered = 0;
     dropped = 0;
@@ -42,20 +45,38 @@ let create ?(default_latency = Vtime.ms 1) sim =
 
 let sim t = t.sim
 
-let nodes t =
-  List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) t.devices [])
+let nodes t = List.map fst t.devices
+
+let rec listed node = function
+  | [] -> false
+  | n :: rest -> String.equal n node || listed node rest
+
+let rec find_device node = function
+  | [] -> None
+  | (n, device) :: rest -> if String.equal n node then Some device else find_device node rest
+
+(* The hot path asks only while some link has settings: until then a
+   transmission hashes nothing. *)
+let link t ~src ~dst =
+  if Hashtbl.length t.links = 0 then no_settings
+  else Option.value (Hashtbl.find_opt t.links (src, dst)) ~default:no_settings
+
+let update_link t ~src ~dst f = Hashtbl.replace t.links (src, dst) (f (link t ~src ~dst))
 
 let set_default_latency t l = t.default_latency <- l
-let set_latency t ~src ~dst l = Hashtbl.replace t.latencies (src, dst) l
-let set_jitter t ~src ~dst span = Hashtbl.replace t.jitters (src, dst) span
-let set_loss t ~src ~dst rate = Hashtbl.replace t.losses (src, dst) rate
-let block t ~src ~dst = Hashtbl.replace t.blocked (src, dst) ()
-let unblock t ~src ~dst = Hashtbl.remove t.blocked (src, dst)
+let set_latency t ~src ~dst l = update_link t ~src ~dst (fun k -> { k with latency = Some l })
+let set_jitter t ~src ~dst span = update_link t ~src ~dst (fun k -> { k with jitter = Some span })
+let set_loss t ~src ~dst rate = update_link t ~src ~dst (fun k -> { k with loss = Some rate })
+let block t ~src ~dst = update_link t ~src ~dst (fun k -> { k with blocked = true })
+
+let unblock t ~src ~dst =
+  if (link t ~src ~dst).blocked then update_link t ~src ~dst (fun k -> { k with blocked = false })
+
 let partition t groups = t.groups <- Some groups
 let heal t = t.groups <- None
-let unplug t node = Hashtbl.replace t.unplugged node ()
-let replug t node = Hashtbl.remove t.unplugged node
-let is_unplugged t node = Hashtbl.mem t.unplugged node
+let is_unplugged t node = listed node t.unplugged
+let unplug t node = if not (is_unplugged t node) then t.unplugged <- node :: t.unplugged
+let replug t node = t.unplugged <- List.filter (fun n -> not (String.equal n node)) t.unplugged
 
 let sent_count t = t.sent
 let delivered_count t = t.delivered
@@ -100,19 +121,15 @@ let same_group t src dst =
     let find node =
       let rec go i = function
         | [] -> -1  (* unlisted nodes form the implicit group -1 *)
-        | g :: rest -> if List.mem node g then i else go (i + 1) rest
+        | g :: rest -> if listed node g then i else go (i + 1) rest
       in
       go 0 groups
     in
     find src = find dst
 
-let latency t ~src ~dst =
-  let base =
-    match Hashtbl.find_opt t.latencies (src, dst) with
-    | Some l -> l
-    | None -> t.default_latency
-  in
-  match Hashtbl.find_opt t.jitters (src, dst) with
+let latency t link =
+  let base = Option.value link.latency ~default:t.default_latency in
+  match link.jitter with
   | None -> base
   | Some span ->
     let j = Rng.float t.rng (Vtime.to_sec_f span) in
@@ -139,22 +156,23 @@ let transmit t ~src ~dst msg =
       ~fields:
         [ ("src", src); ("dst", dst); ("len", string_of_int (Message.length msg)) ]
       (Printf.sprintf "to=%s len=%d" dst (Message.length msg));
-  if Hashtbl.mem t.unplugged src then drop t ~src ~dst msg "src-unplugged"
-  else if Hashtbl.mem t.unplugged dst then drop t ~src ~dst msg "dst-unplugged"
-  else if Hashtbl.mem t.blocked (src, dst) then drop t ~src ~dst msg "blocked"
+  let link = link t ~src ~dst in
+  if is_unplugged t src then drop t ~src ~dst msg "src-unplugged"
+  else if is_unplugged t dst then drop t ~src ~dst msg "dst-unplugged"
+  else if link.blocked then drop t ~src ~dst msg "blocked"
   else if not (same_group t src dst) then drop t ~src ~dst msg "partitioned"
   else begin
     let lossy =
-      match Hashtbl.find_opt t.losses (src, dst) with
+      match link.loss with
       | Some rate -> Rng.bernoulli t.rng ~p:rate
       | None -> false
     in
     if lossy then drop t ~src ~dst msg "loss"
     else
-      match Hashtbl.find_opt t.devices dst with
+      match find_device dst t.devices with
       | None -> drop t ~src ~dst msg "no-such-node"
       | Some device ->
-        let delay = latency t ~src ~dst in
+        let delay = latency t link in
         let sent_at = Sim.now t.sim in
         let arrival = Vtime.add sent_at delay in
         ignore
@@ -162,7 +180,7 @@ let transmit t ~src ~dst msg =
                (* the destination may have been unplugged in flight; the
                   MSC entry is only recorded here, once the outcome is
                   known, so dropped deliveries never render an arrow *)
-               if Hashtbl.mem t.unplugged dst then
+               if is_unplugged t dst then
                  drop t ~sent_at ~src ~dst msg "dst-unplugged"
                else begin
                  t.delivered <- t.delivered + 1;
@@ -179,7 +197,7 @@ let transmit t ~src ~dst msg =
   end
 
 let attach t ~node =
-  if Hashtbl.mem t.devices node then
+  if Option.is_some (find_device node t.devices) then
     failwith (Printf.sprintf "network: node %s already attached" node);
   let device =
     Layer.create ~name:"device" ~node
@@ -192,12 +210,13 @@ let attach t ~node =
             in
             if String.equal dst broadcast then
               List.iter
-                (fun peer ->
+                (fun (peer, _) ->
                   if not (String.equal peer node) then
                     transmit t ~src:node ~dst:peer (Message.copy msg))
-                (nodes t)
+                t.devices
             else transmit t ~src:node ~dst msg);
         on_pop = (fun _ _ -> failwith "network device layer: nothing below") }
   in
-  Hashtbl.replace t.devices node device;
+  t.devices <-
+    List.sort (fun (a, _) (b, _) -> String.compare a b) ((node, device) :: t.devices);
   device

@@ -1,22 +1,12 @@
 type t = {
-  id : int;
   mutable payload : Bytes.t;
   mutable attrs : (string * string) list;
 }
 
-(* Atomic so ids stay unique when trials run on concurrent domains
-   (Pfi_testgen.Executor.domains).  Ids are process-unique, never
-   recorded in traces or verdicts, so the allocation order being
-   scheduling-dependent cannot leak into campaign output. *)
-let next_id = Atomic.make 0
-
-let fresh_id () = Atomic.fetch_and_add next_id 1 + 1
-
-let create ?(attrs = []) payload = { id = fresh_id (); payload; attrs }
+let create ?(attrs = []) payload = { payload; attrs }
 
 let of_string s = create (Bytes.of_string s)
 
-let id t = t.id
 let payload t = t.payload
 let set_payload t b = t.payload <- b
 let length t = Bytes.length t.payload
@@ -38,16 +28,33 @@ let peek t n =
   let n = min n (Bytes.length t.payload) in
   Bytes.sub t.payload 0 n
 
-let get_attr t key = List.assoc_opt key t.attrs
+let rec find key = function
+  | [] -> None
+  | (k, v) :: rest -> if String.equal k key then Some v else find key rest
 
+let get_attr t key = find key t.attrs
+
+let rec mem key = function
+  | [] -> false
+  | (k, _) :: rest -> String.equal k key || mem key rest
+
+(* Copies only the prefix up to [key]; the tail after it is shared. *)
+let rec replace key value = function
+  | [] -> []
+  | ((k, _) as kv) :: rest ->
+    if String.equal k key then (key, value) :: rest else kv :: replace key value rest
+
+(* A new key goes in front without copying the list; a present key keeps
+   its place. *)
 let set_attr t key value =
-  t.attrs <- (key, value) :: List.remove_assoc key t.attrs
+  t.attrs <-
+    (if mem key t.attrs then replace key value t.attrs else (key, value) :: t.attrs)
 
 let remove_attr t key = t.attrs <- List.remove_assoc key t.attrs
 
 let attrs t = t.attrs
 
-let copy t = { id = fresh_id (); payload = Bytes.copy t.payload; attrs = t.attrs }
+let copy t = { payload = Bytes.copy t.payload; attrs = t.attrs }
 
 let corrupt_byte t ~offset =
   if offset >= 0 && offset < Bytes.length t.payload then begin
@@ -74,4 +81,4 @@ let hex ?(max_bytes = 32) t =
   Buffer.contents buf
 
 let pp ppf t =
-  Format.fprintf ppf "msg#%d[%dB] %s" t.id (Bytes.length t.payload) (hex ~max_bytes:16 t)
+  Format.fprintf ppf "msg[%dB] %s" (Bytes.length t.payload) (hex ~max_bytes:16 t)

@@ -11,9 +11,6 @@ type t
 val create : ?attrs:(string * string) list -> Bytes.t -> t
 val of_string : string -> t
 
-val id : t -> int
-(** Unique per process; survives header push/pop but {e not} {!copy}. *)
-
 val payload : t -> Bytes.t
 val set_payload : t -> Bytes.t -> unit
 val length : t -> int
@@ -34,14 +31,19 @@ val peek : t -> int -> Bytes.t
 (** {1 Attributes} *)
 
 val get_attr : t -> string -> string option
+
 val set_attr : t -> string -> string -> unit
+(** Replaces the value of a present key in place; prepends an absent
+    one. *)
+
 val remove_attr : t -> string -> unit
 val attrs : t -> (string * string) list
 
 (** {1 Fault-injection helpers} *)
 
 val copy : t -> t
-(** Deep copy with a fresh id — message duplication. *)
+(** Message duplication: a fresh copy of the payload; the (immutable)
+    attribute list is shared. *)
 
 val corrupt_byte : t -> offset:int -> t
 (** Flips all bits of one payload byte in place (returns the same

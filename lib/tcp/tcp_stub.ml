@@ -1,4 +1,5 @@
 open Pfi_stack
+open Pfi_core.Stubs
 
 let with_segment msg f ~default =
   match Segment.of_message msg with
@@ -37,11 +38,11 @@ let reencode msg seg =
 let set_field msg field value =
   with_segment msg ~default:false (fun seg ->
       match (field, int_of_string_opt value) with
-      | "seq", Some v -> reencode msg { seg with Segment.seq = Seq32.of_int v }
-      | "ack", Some v -> reencode msg { seg with Segment.ack = Seq32.of_int v }
-      | "window", Some v -> reencode msg { seg with Segment.window = v land 0xffff }
-      | "sport", Some v -> reencode msg { seg with Segment.src_port = v land 0xffff }
-      | "dport", Some v -> reencode msg { seg with Segment.dst_port = v land 0xffff }
+      | "seq", Some v when fits ~max:u32_max v -> reencode msg { seg with Segment.seq = v }
+      | "ack", Some v when fits ~max:u32_max v -> reencode msg { seg with Segment.ack = v }
+      | "window", Some v when fits ~max:u16_max v -> reencode msg { seg with Segment.window = v }
+      | "sport", Some v when fits ~max:u16_max v -> reencode msg { seg with Segment.src_port = v }
+      | "dport", Some v when fits ~max:u16_max v -> reencode msg { seg with Segment.dst_port = v }
       | _ -> false)
 
 let parse_flags_arg args =
@@ -55,28 +56,20 @@ let parse_flags_arg args =
   | _ -> None
 
 let generate args =
-  let int_arg key ~default =
-    match List.assoc_opt key args with
-    | Some v -> (match int_of_string_opt v with Some i -> i | None -> default)
-    | None -> default
-  in
-  match parse_flags_arg args with
-  | None -> None
-  | Some flags ->
+  match
+    ( parse_flags_arg args,
+      int_arg args "sport" ~max:u16_max, int_arg args "dport" ~max:u16_max,
+      int_arg args "seq" ~max:u32_max, int_arg args "ack" ~max:u32_max,
+      int_arg args "window" ~max:u16_max )
+  with
+  | Some flags, Some src_port, Some dst_port, Some seq, Some ack, Some window ->
     let payload =
       match List.assoc_opt "data" args with
       | Some d -> Bytes.of_string d
       | None -> Bytes.empty
     in
     let seg =
-      Segment.make ~payload
-        ~src_port:(int_arg "sport" ~default:0)
-        ~dst_port:(int_arg "dport" ~default:0)
-        ~seq:(Seq32.of_int (int_arg "seq" ~default:0))
-        ~ack:(Seq32.of_int (int_arg "ack" ~default:0))
-        ~flags
-        ~window:(int_arg "window" ~default:0)
-        ()
+      Segment.make ~payload ~src_port ~dst_port ~seq ~ack ~flags ~window ()
     in
     let msg = Message.create (Segment.encode seg) in
     Message.set_attr msg "proto" Segment.proto_attr_value;
@@ -87,6 +80,7 @@ let generate args =
      | Some src -> Message.set_attr msg Pfi_netsim.Network.src_attr src
      | None -> ());
     Some msg
+  | _ -> None
 
 let fields msg =
   with_segment msg ~default:[] (fun seg ->

@@ -392,6 +392,225 @@ let test_gmp_stub_generate () =
       (Gmp_stub.stub.Stubs.msg_type msg)
   | None -> Alcotest.fail "generate failed"
 
+(* --- Wire pins ------------------------------------------------------ *)
+
+let hex b =
+  String.concat "" (List.init (Bytes.length b) (fun i -> Printf.sprintf "%02x" (Bytes.get_uint8 b i)))
+
+let all_mtypes =
+  Gmp_msg.[ Heartbeat; Proclaim; Join; Membership_change; Mc_ack; Mc_nak; Commit; Dead ]
+
+(* Captured from the Buffer-writer codec these encoders replaced: every
+   type with 0, 1 and 3 members, a gid above 2^16, origin = index + 1,
+   subject = index. *)
+let gmp_wire_golden =
+  [
+    ("HEARTBEAT", 0, "0100011234002dc6c700000000");
+    ("HEARTBEAT", 1, "0100011234002dc6c7000000010007");
+    ("HEARTBEAT", 3, "0100011234002dc6c70000000300010002012c");
+    ("PROCLAIM", 0, "0200021234002dc6c700010000");
+    ("PROCLAIM", 1, "0200021234002dc6c7000100010007");
+    ("PROCLAIM", 3, "0200021234002dc6c70001000300010002012c");
+    ("JOIN", 0, "0300031234002dc6c700020000");
+    ("JOIN", 1, "0300031234002dc6c7000200010007");
+    ("JOIN", 3, "0300031234002dc6c70002000300010002012c");
+    ("MEMBERSHIP_CHANGE", 0, "0400041234002dc6c700030000");
+    ("MEMBERSHIP_CHANGE", 1, "0400041234002dc6c7000300010007");
+    ("MEMBERSHIP_CHANGE", 3, "0400041234002dc6c70003000300010002012c");
+    ("ACK", 0, "0500051234002dc6c700040000");
+    ("ACK", 1, "0500051234002dc6c7000400010007");
+    ("ACK", 3, "0500051234002dc6c70004000300010002012c");
+    ("NAK", 0, "0600061234002dc6c700050000");
+    ("NAK", 1, "0600061234002dc6c7000500010007");
+    ("NAK", 3, "0600061234002dc6c70005000300010002012c");
+    ("COMMIT", 0, "0700071234002dc6c700060000");
+    ("COMMIT", 1, "0700071234002dc6c7000600010007");
+    ("COMMIT", 3, "0700071234002dc6c70006000300010002012c");
+    ("DEAD", 0, "0800081234002dc6c700070000");
+    ("DEAD", 1, "0800081234002dc6c7000700010007");
+    ("DEAD", 3, "0800081234002dc6c70007000300010002012c");
+  ]
+
+let test_gmp_wire_golden () =
+  List.iteri
+    (fun i mtype ->
+      List.iter
+        (fun members ->
+          let m =
+            Gmp_msg.make ~mtype ~origin:(i + 1) ~sender:0x1234 ~group_id:3_000_007 ~subject:i
+              ~members ()
+          in
+          let name = Gmp_msg.mtype_to_string mtype in
+          let count = List.length members in
+          match List.find_opt (fun (n, c, _) -> n = name && c = count) gmp_wire_golden with
+          | Some (_, _, want) ->
+            Alcotest.(check string) (Printf.sprintf "%s/%d" name count) want
+              (hex (Gmp_msg.encode m))
+          | None -> Alcotest.failf "no golden for %s/%d" name count)
+        [ []; [ 7 ]; [ 1; 2; 300 ] ])
+    all_mtypes;
+  Alcotest.(check string) "field maxima" "07ffffffffffffffffffff0002ffff0000"
+    (hex
+       (Gmp_msg.encode
+          (Gmp_msg.make ~mtype:Gmp_msg.Commit ~origin:0xffff ~sender:0xffff
+             ~group_id:0xffffffff ~subject:0xffff ~members:[ 0xffff; 0 ] ())))
+
+let test_rel_wire_golden () =
+  let inner =
+    Gmp_msg.encode (Gmp_msg.make ~mtype:Gmp_msg.Proclaim ~origin:2 ~sender:3 ~group_id:2_000_001 ())
+  in
+  Alcotest.(check string) "raw" "0000000000fed50200020003001e848100000000"
+    (hex (Rel_udp.wrap ~kind:Rel_udp.kind_raw ~seq:0 inner));
+  Alcotest.(check string) "raw via wrap_raw" "0000000000fed50200020003001e848100000000" (hex (Rel_udp.wrap_raw inner));
+  Alcotest.(check string) "data, seq >= 2^16" "0100011170ed630200020003001e848100000000"
+    (hex (Rel_udp.wrap ~kind:Rel_udp.kind_data ~seq:70_000 inner));
+  Alcotest.(check string) "ack" "0200011170ee8c"
+    (hex (Rel_udp.wrap ~kind:Rel_udp.kind_ack ~seq:70_000 Bytes.empty));
+  Alcotest.(check string) "checksum carries"
+    "01ffffffffd826ffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffffff"
+    (hex (Rel_udp.wrap ~kind:Rel_udp.kind_data ~seq:0xffffffff (Bytes.make 40 '\xff')))
+
+(* --- One validation path ------------------------------------------ *)
+
+(* The reader-based decoders the fixed-offset ones replaced, kept here
+   as the reference the property below compares against. *)
+let ref_unwrap data =
+  if Bytes.length data < Rel_udp.header_size then None
+  else begin
+    let r = Bytes_codec.reader data in
+    let kind = Bytes_codec.read_u8 r in
+    let seq = Bytes_codec.read_u32_int r in
+    let csum = Bytes_codec.read_u16 r in
+    let payload = Bytes_codec.read_rest r in
+    let sum = ref (kind + (seq land 0xffff) + ((seq lsr 16) land 0xffff)) in
+    Bytes.iter (fun ch -> sum := !sum + Char.code ch) payload;
+    while !sum lsr 16 <> 0 do
+      sum := (!sum land 0xffff) + (!sum lsr 16)
+    done;
+    if lnot !sum land 0xffff <> csum then None else Some (kind, seq, payload)
+  end
+
+let ref_decode data =
+  match
+    let r = Bytes_codec.reader data in
+    let code = Bytes_codec.read_u8 r in
+    let origin = Bytes_codec.read_u16 r in
+    let sender = Bytes_codec.read_u16 r in
+    let group_id = Bytes_codec.read_u32_int r in
+    let subject = Bytes_codec.read_u16 r in
+    let count = Bytes_codec.read_u16 r in
+    let members = List.init count (fun _ -> Bytes_codec.read_u16 r) in
+    (code, origin, sender, group_id, subject, members)
+  with
+  | exception Bytes_codec.Truncated _ -> Error "gmp: truncated message"
+  | code, origin, sender, group_id, subject, members ->
+    (match Gmp_msg.mtype_of_code code with
+     | None -> Error (Printf.sprintf "gmp: unknown message type %d" code)
+     | Some mtype -> Ok { Gmp_msg.mtype; origin; sender; group_id; subject; members })
+
+(* Every check one input must pass: the rel validators agree with the
+   reference and with each other, the stub's classifier agrees with its
+   full parse, and the inner decoder agrees with the reference. *)
+let validators_agree data =
+  let expect = ref_unwrap data in
+  let header_ok =
+    Rel_udp.inspect_header data
+    = Option.map (fun (kind, seq, _) -> (kind, seq)) expect
+  in
+  let inspect_ok =
+    Rel_udp.inspect data
+    = Option.bind expect (fun (kind, seq, payload) ->
+          if kind = Rel_udp.kind_raw then Some (`Raw, seq, payload)
+          else if kind = Rel_udp.kind_data then Some (`Data, seq, payload)
+          else if kind = Rel_udp.kind_ack then Some (`Ack, seq, payload)
+          else None)
+  in
+  let msg = Message.create data in
+  let stub = Gmp_stub.stub in
+  let ty = stub.Stubs.msg_type msg in
+  let fields = stub.Stubs.fields msg in
+  let parsed = stub.Stubs.describe msg <> "undecodable GMP packet" in
+  let stub_ok =
+    (ty = "?") = (fields = []) && (ty = "?") = not parsed
+    && (ty = "?" || List.assoc_opt "type" fields = Some ty)
+  in
+  let decode_ok inner = Gmp_msg.decode inner = ref_decode inner in
+  header_ok && inspect_ok && stub_ok
+  && decode_ok data
+  && (match expect with Some (_, _, inner) -> decode_ok inner | None -> true)
+
+(* [data] itself, every truncation of it, and every single-byte flip
+   (all bits, plus the per-position mask from [masks]) *)
+let mutants data masks =
+  let n = Bytes.length data in
+  let flip i mask =
+    let b = Bytes.copy data in
+    Bytes.set_uint8 b i (Bytes.get_uint8 b i lxor mask);
+    b
+  in
+  (data :: List.init n (fun len -> Bytes.sub data 0 len))
+  @ List.init n (fun i -> flip i 0xff)
+  @ List.init n (fun i -> flip i (List.nth masks (i mod List.length masks)))
+
+let prop_validators_agree =
+  let gen =
+    QCheck.make
+      ~print:(fun (kind, seq, inner, _, noise) ->
+        Printf.sprintf "kind=%d seq=%d inner=%s noise=%s" kind seq (hex inner) (hex noise))
+      QCheck.Gen.(
+        oneofl all_mtypes >>= fun mtype ->
+        int_bound 65535 >>= fun origin ->
+        int_bound 0xffffffff >>= fun gid ->
+        list_size (int_bound 4) (int_bound 65535) >>= fun members ->
+        oneofl [ Rel_udp.kind_raw; Rel_udp.kind_data; Rel_udp.kind_ack; 3 ] >>= fun kind ->
+        int_bound 0xffffffff >>= fun seq ->
+        list_size (return 8) (int_range 1 254) >>= fun masks ->
+        string_size (int_bound 40) >>= fun noise ->
+        let m = Gmp_msg.make ~mtype ~origin ~sender:origin ~group_id:gid ~members () in
+        return (kind, seq, Gmp_msg.encode m, masks, Bytes.of_string noise))
+  in
+  (* mutating the whole packet exercises the rel checks; wrapping each
+     mutant of the inner message under a valid header exercises the GMP
+     ones behind them *)
+  QCheck.Test.make ~name:"rel and gmp validators agree on random and mutated packets"
+    ~count:200 gen (fun (kind, seq, inner, masks, noise) ->
+      let rewrap = Rel_udp.wrap ~kind ~seq in
+      validators_agree noise
+      && validators_agree (rewrap noise)
+      && List.for_all validators_agree (mutants (rewrap inner) masks)
+      && List.for_all (fun m -> validators_agree (rewrap m)) (mutants inner masks))
+
+(* --- Out-of-range field values ------------------------------------ *)
+
+let test_gmp_stub_rejects_out_of_range () =
+  let stub = Gmp_stub.stub in
+  let wire () =
+    Message.create
+      (Rel_udp.wrap_raw
+         (Gmp_msg.encode
+            (Gmp_msg.make ~mtype:Gmp_msg.Proclaim ~origin:1 ~sender:1 ~group_id:7 ())))
+  in
+  List.iter
+    (fun (field, value) ->
+      let msg = wire () in
+      let before = Bytes.copy (Message.payload msg) in
+      Alcotest.(check bool) (Printf.sprintf "set %s %s refused" field value) false
+        (stub.Stubs.set_field msg field value);
+      Alcotest.(check string) (field ^ " payload untouched") (hex before) (hex (Message.payload msg));
+      Alcotest.(check bool) (Printf.sprintf "msg_gen %s %s refused" field value) true
+        (stub.Stubs.generate [ ("type", "PROCLAIM"); (field, value) ] = None))
+    [ ("origin", "70000"); ("origin", "65536"); ("sender", "-1"); ("subject", "65536");
+      ("gid", "4294967297"); ("gid", "-1") ];
+  Alcotest.(check bool) "msg_gen member 65536 refused" true
+    (stub.Stubs.generate [ ("type", "JOIN"); ("members", "1,65536") ] = None);
+  let msg = wire () in
+  Alcotest.(check bool) "u16 maximum accepted" true (stub.Stubs.set_field msg "origin" "65535");
+  Alcotest.(check (option string)) "reads back unwrapped" (Some "65535")
+    (stub.Stubs.get_field msg "origin");
+  Alcotest.(check bool) "u32 maximum accepted" true (stub.Stubs.set_field msg "gid" "4294967295");
+  Alcotest.(check (option string)) "gid reads back" (Some "4294967295")
+    (stub.Stubs.get_field msg "gid")
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
@@ -416,4 +635,9 @@ let suite =
     Alcotest.test_case "armed timers introspection" `Quick test_armed_timers_introspection;
     Alcotest.test_case "gmp stub recognition" `Quick test_gmp_stub;
     Alcotest.test_case "gmp stub generation" `Quick test_gmp_stub_generate;
+    Alcotest.test_case "gmp wire golden" `Quick test_gmp_wire_golden;
+    Alcotest.test_case "rel wire golden" `Quick test_rel_wire_golden;
+    QCheck_alcotest.to_alcotest prop_validators_agree;
+    Alcotest.test_case "gmp stub rejects out-of-range values" `Quick
+      test_gmp_stub_rejects_out_of_range;
   ]

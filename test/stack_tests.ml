@@ -75,7 +75,6 @@ let test_message_copy_independent () =
   let msg = Message.of_string "abc" in
   Message.set_attr msg "k" "v";
   let dup = Message.copy msg in
-  Alcotest.(check bool) "fresh id" true (Message.id dup <> Message.id msg);
   Bytes.set (Message.payload dup) 0 'X';
   Alcotest.(check string) "original unaffected" "abc" (Message.to_string msg);
   Alcotest.(check (option string)) "attrs copied" (Some "v") (Message.get_attr dup "k")
@@ -196,6 +195,36 @@ let test_driver_callback () =
   Layer.deliver_up bottom (Message.of_string "b");
   Alcotest.(check (list string)) "callback order" [ "a"; "b" ] (List.rev !seen)
 
+
+let test_set_attr_replaces_once () =
+  let msg = Message.create ~attrs:[ ("a", "1"); ("k", "old"); ("z", "2") ] Bytes.empty in
+  Message.set_attr msg "k" "new";
+  Alcotest.(check (list (pair string string))) "replaced in place, once"
+    [ ("a", "1"); ("k", "new"); ("z", "2") ] (Message.attrs msg);
+  Message.set_attr msg "k" "newer";
+  Alcotest.(check int) "still one binding" 1
+    (List.length (List.filter (fun (k, _) -> k = "k") (Message.attrs msg)));
+  Alcotest.(check (option string)) "latest value" (Some "newer") (Message.get_attr msg "k")
+
+let test_set_attr_prepends_absent () =
+  let msg = Message.create ~attrs:[ ("a", "1"); ("b", "2") ] Bytes.empty in
+  let before = Message.attrs msg in
+  Message.set_attr msg "c" "3";
+  Alcotest.(check (list (pair string string))) "prepended, rest in order"
+    [ ("c", "3"); ("a", "1"); ("b", "2") ] (Message.attrs msg);
+  (match Message.attrs msg with
+   | _ :: rest -> Alcotest.(check bool) "tail shared, not copied" true (rest == before)
+   | [] -> Alcotest.fail "attrs empty")
+
+let test_copy_shares_attrs_not_payload () =
+  let msg = Message.create ~attrs:[ ("k", "v") ] (Bytes.of_string "abc") in
+  let dup = Message.copy msg in
+  Alcotest.(check bool) "attrs shared" true (Message.attrs dup == Message.attrs msg);
+  Alcotest.(check bool) "payload not shared" false (Message.payload dup == Message.payload msg);
+  Message.set_attr dup "k" "w";
+  Alcotest.(check (option string)) "setting on the copy leaves the original" (Some "v")
+    (Message.get_attr msg "k")
+
 let suite =
   [
     Alcotest.test_case "codec roundtrip" `Quick test_codec_roundtrip;
@@ -213,4 +242,7 @@ let suite =
     Alcotest.test_case "send off stack fails" `Quick test_send_off_stack_fails;
     Alcotest.test_case "driver records deliveries" `Quick test_driver_records;
     Alcotest.test_case "driver callback" `Quick test_driver_callback;
+    Alcotest.test_case "set_attr replaces a present key once" `Quick test_set_attr_replaces_once;
+    Alcotest.test_case "set_attr prepends an absent key" `Quick test_set_attr_prepends_absent;
+    Alcotest.test_case "copy shares attrs, not payload" `Quick test_copy_shares_attrs_not_payload;
   ]

@@ -563,6 +563,31 @@ let test_stub_generate_spurious_ack () =
       (Pfi_stack.Message.get_attr msg Network.dst_attr)
   | None -> Alcotest.fail "generate failed"
 
+
+let test_stub_rejects_out_of_range () =
+  let s = Tcp_stub.stub in
+  List.iter
+    (fun (field, value) ->
+      let msg = Segment.to_message (seg ~seq:42 ()) ~dst:"peer" in
+      let before = Bytes.to_string (Pfi_stack.Message.payload msg) in
+      Alcotest.(check bool) (Printf.sprintf "set %s %s refused" field value) false
+        (s.Pfi_core.Stubs.set_field msg field value);
+      Alcotest.(check string) (field ^ " segment untouched") before
+        (Bytes.to_string (Pfi_stack.Message.payload msg));
+      Alcotest.(check bool) (Printf.sprintf "msg_gen %s %s refused" field value) true
+        (s.Pfi_core.Stubs.generate [ ("type", "ACK"); (field, value) ] = None))
+    [ ("window", "70000"); ("window", "-1"); ("sport", "65536"); ("dport", "-2");
+      ("seq", "4294967296"); ("seq", "-1"); ("ack", "4294967297") ];
+  let msg = Segment.to_message (seg ~seq:42 ()) ~dst:"peer" in
+  Alcotest.(check bool) "window maximum accepted" true
+    (s.Pfi_core.Stubs.set_field msg "window" "65535");
+  Alcotest.(check (option string)) "window reads back" (Some "65535")
+    (s.Pfi_core.Stubs.get_field msg "window");
+  Alcotest.(check bool) "seq maximum accepted" true
+    (s.Pfi_core.Stubs.set_field msg "seq" "4294967295");
+  Alcotest.(check (option string)) "seq reads back" (Some "4294967295")
+    (s.Pfi_core.Stubs.get_field msg "seq")
+
 let suite =
   [
     Alcotest.test_case "seq32 wraparound" `Quick test_seq32_wraparound;
@@ -600,4 +625,5 @@ let suite =
     Alcotest.test_case "stub recognition" `Quick test_stub_recognition;
     Alcotest.test_case "stub set_field re-encodes" `Quick test_stub_set_field_reencodes;
     Alcotest.test_case "stub generates spurious ACK" `Quick test_stub_generate_spurious_ack;
+    Alcotest.test_case "stub rejects out-of-range values" `Quick test_stub_rejects_out_of_range;
   ]

@@ -82,6 +82,21 @@ let test_abp_stub () =
       (s.Pfi_core.Stubs.get_field msg "bit")
   | None -> Alcotest.fail "generate failed"
 
+let test_abp_stub_rejects_out_of_range () =
+  let s = Abp.stub in
+  match s.Pfi_core.Stubs.generate [ ("type", "MSG"); ("bit", "1"); ("data", "x") ] with
+  | None -> Alcotest.fail "generate failed"
+  | Some msg ->
+    List.iter
+      (fun v ->
+        Alcotest.(check bool) ("set bit " ^ v ^ " refused") false
+          (s.Pfi_core.Stubs.set_field msg "bit" v);
+        Alcotest.(check (option string)) "bit unchanged" (Some "1")
+          (s.Pfi_core.Stubs.get_field msg "bit");
+        Alcotest.(check bool) ("msg_gen bit " ^ v ^ " refused") true
+          (s.Pfi_core.Stubs.generate [ ("type", "ACK"); ("bit", v) ] = None))
+      [ "2"; "3"; "-1"; "256" ]
+
 (* ------------------------------------------------------------------ *)
 (* MSC renderer                                                       *)
 (* ------------------------------------------------------------------ *)
@@ -339,4 +354,6 @@ let suite =
       test_gmp_campaign_correct;
     Alcotest.test_case "campaign: implanted GMP bugs found" `Slow
       test_gmp_campaign_finds_implanted_bugs;
+    Alcotest.test_case "abp stub rejects out-of-range bit" `Quick
+      test_abp_stub_rejects_out_of_range;
   ]
